@@ -6,8 +6,13 @@
 //   service_256ch_mcodes_per_s       per-session scalar path, 256 channels
 //   service_batch_256ch_mcodes_per_s same load with lockstep OPENs -- the
 //                                    SoA batch fast path (ChainBank rounds)
-//   service_batch_speedup            batch / scalar at 256 channels; CI
-//                                    gates this ratio (machine-independent)
+//   service_batch_speedup            batch / scalar at 256 channels, the
+//                                    ratio of the legs' medians over 10
+//                                    interleaved runs each; CI gates this
+//                                    ratio (machine-independent)
+//   service_256ch_{scalar,batch}_median_mcodes, *_rel_iqr
+//                                    those medians and their interquartile
+//                                    range relative to the median
 //   service_frame_p50_ms, service_frame_p99_ms
 //                                    wire-to-wire DATA->DATA_OUT latency,
 //                                    sender-stamped and measured at the
@@ -215,15 +220,42 @@ int main() {
   const auto r64 = run_load_best(64, 4, 16, 512, false, 3);
   std::printf("%8d  %8d  %8s  %12.2f  %6s\n", 64, 4, "scalar",
               r64.mcodes_per_s, r64.exact ? "yes" : "NO");
-  const auto r256 = run_load_best(256, 8, 2, 8192, false, 3);
+  // The batch speedup divides the batch path by the scalar chain, so the
+  // two legs run interleaved, kPairs times each in this process: the ratio
+  // is taken between the legs' medians, the throughput records keep the
+  // best run (stable enough for the tight store-overhead gate in CI).
+  constexpr int kPairs = 10;
+  std::vector<double> scalar_mcps;
+  std::vector<double> batch_mcps;
+  RunResult r256;
+  RunResult b256;
+  r256.exact = b256.exact = true;
+  for (int i = 0; i < kPairs; ++i) {
+    const RunResult r = run_load(256, 8, 2, 8192, false);
+    const RunResult b = run_load(256, 8, 2, 8192, true);
+    r256.exact = r256.exact && r.exact;
+    b256.exact = b256.exact && b.exact;
+    r256.mcodes_per_s = std::max(r256.mcodes_per_s, r.mcodes_per_s);
+    b256.mcodes_per_s = std::max(b256.mcodes_per_s, b.mcodes_per_s);
+    scalar_mcps.push_back(r.mcodes_per_s);
+    batch_mcps.push_back(b.mcodes_per_s);
+  }
   std::printf("%8d  %8d  %8s  %12.2f  %6s\n", 256, 8, "scalar",
               r256.mcodes_per_s, r256.exact ? "yes" : "NO");
-  const auto b256 = run_load_best(256, 8, 2, 8192, true, 3);
   std::printf("%8d  %8d  %8s  %12.2f  %6s\n", 256, 8, "batch",
               b256.mcodes_per_s, b256.exact ? "yes" : "NO");
-  const double speedup =
-      r256.mcodes_per_s > 0 ? b256.mcodes_per_s / r256.mcodes_per_s : 0.0;
-  std::printf("batch speedup (256ch): %.2fx\n", speedup);
+  const double scalar_q1 = percentile(scalar_mcps, 0.25);
+  const double scalar_med = percentile(scalar_mcps, 0.50);
+  const double scalar_q3 = percentile(scalar_mcps, 0.75);
+  const double batch_q1 = percentile(batch_mcps, 0.25);
+  const double batch_med = percentile(batch_mcps, 0.50);
+  const double batch_q3 = percentile(batch_mcps, 0.75);
+  const double speedup = scalar_med > 0 ? batch_med / scalar_med : 0.0;
+  std::printf("256ch medians over %d interleaved pairs: scalar %.2f "
+              "[%.2f, %.2f]  batch %.2f [%.2f, %.2f] Mcodes/s\n",
+              kPairs, scalar_med, scalar_q1, scalar_q3, batch_med, batch_q1,
+              batch_q3);
+  std::printf("batch speedup (256ch, median/median): %.2fx\n", speedup);
 
   // Wire-to-wire frame latency under a lighter lockstep load (the
   // throughput runs above saturate the queues, which would measure queue
@@ -241,6 +273,12 @@ int main() {
   report.set("service_256ch_mcodes_per_s", r256.mcodes_per_s);
   report.set("service_batch_256ch_mcodes_per_s", b256.mcodes_per_s);
   report.set("service_batch_speedup", speedup);
+  report.set("service_256ch_scalar_median_mcodes", scalar_med);
+  report.set("service_256ch_batch_median_mcodes", batch_med);
+  report.set("service_256ch_scalar_rel_iqr",
+             scalar_med > 0 ? (scalar_q3 - scalar_q1) / scalar_med : 0.0);
+  report.set("service_256ch_batch_rel_iqr",
+             batch_med > 0 ? (batch_q3 - batch_q1) / batch_med : 0.0);
   report.set("service_frame_p50_ms", p50);
   report.set("service_frame_p99_ms", p99);
   report.set("service_zero_loss", ok);

@@ -19,40 +19,20 @@ namespace {
 /// soa::Requant + its tallies copied into function-locals: accumulating
 /// rounds/saturates through a RequantTally& (and reading bounds through a
 /// Requant&) defeats the vectorizer's aliasing analysis, which must assume
-/// the row stores below may overwrite them. Same arithmetic, same event
-/// decisions; commit() adds the counts back in bulk.
+/// the row stores below may overwrite them. Same arithmetic (it is
+/// soa::requantize), same event decisions; commit() adds the counts back
+/// in bulk.
 struct Rq {
-  std::int64_t round_add;
-  std::int64_t lo, hi;
-  std::uint64_t drop_mask;
-  int shift;
-  std::uint64_t rounds = 0;
-  std::uint64_t saturates = 0;
+  soa::Requant rq;
+  soa::RequantTally tally;
 
-  explicit Rq(const soa::Requant& rq)
-      : round_add(rq.round_add),
-        lo(rq.lo),
-        hi(rq.hi),
-        drop_mask(rq.drop_mask),
-        shift(rq.shift) {}
+  explicit Rq(const soa::Requant& r) : rq(r) {}
 
   std::int64_t operator()(std::int64_t v) {
-    if (shift > 0) {
-      rounds += static_cast<std::uint64_t>(
-          (static_cast<std::uint64_t>(v) & drop_mask) != 0);
-      v = (v + round_add) >> shift;
-    } else if (shift < 0) {
-      v = static_cast<std::int64_t>(static_cast<std::uint64_t>(v) << -shift);
-    }
-    const std::int64_t c = v < lo ? lo : (v > hi ? hi : v);
-    saturates += static_cast<std::uint64_t>(c != v);
-    return c;
+    return soa::requantize(v, rq, tally);
   }
 
-  void commit(soa::RequantTally& tally) const {
-    tally.rounds += rounds;
-    tally.saturates += saturates;
-  }
+  void commit(soa::RequantTally& t) const { t += tally; }
 };
 
 std::size_t cic_stage(std::int64_t* __restrict data, std::size_t frames,

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "src/decimator/soa.h"
 #include "src/dsp/freqz.h"
 #include "src/filterdesign/equalizer.h"
 #include "src/obs/metrics.h"
@@ -112,14 +113,23 @@ void DecimationChain::record_stage(const char* name, double rate_hz,
     *stage_start_us = now;
   }
   if (obs_on) {
-    auto& reg = obs::Registry::instance();
-    const std::string stage = name;
-    reg.gauge("chain.min_raw." + stage).set(static_cast<double>(st.min_raw));
-    reg.gauge("chain.max_raw." + stage).set(static_cast<double>(st.max_raw));
-    reg.gauge("chain.rms_raw." + stage).set(st.rms_raw);
-    reg.gauge("chain.peak_headroom_bits." + stage)
-        .set(st.peak_headroom_bits);
-    reg.counter("chain.samples." + stage).add(samples.size());
+    if (idx >= stage_metrics_.size()) stage_metrics_.resize(idx + 1);
+    StageMetrics& m = stage_metrics_[idx];
+    if (m.samples == nullptr) {
+      // First obs-on block for this slot: the only registry lookups.
+      auto& reg = obs::Registry::instance();
+      const std::string stage = name;
+      m.min_raw = &reg.gauge("chain.min_raw." + stage);
+      m.max_raw = &reg.gauge("chain.max_raw." + stage);
+      m.rms_raw = &reg.gauge("chain.rms_raw." + stage);
+      m.peak_headroom_bits = &reg.gauge("chain.peak_headroom_bits." + stage);
+      m.samples = &reg.counter("chain.samples." + stage);
+    }
+    m.min_raw->set(static_cast<double>(st.min_raw));
+    m.max_raw->set(static_cast<double>(st.max_raw));
+    m.rms_raw->set(st.rms_raw);
+    m.peak_headroom_bits->set(st.peak_headroom_bits);
+    m.samples->add(samples.size());
   }
   if (probes != nullptr) {
     if (idx >= probes->size()) probes->resize(idx + 1);
@@ -218,11 +228,17 @@ std::vector<std::int64_t> DecimationChain::process(
   // --- Normalize the CIC gain (pure shift) into the HBF input format.
   // The CIC output in "code units" carries gain 2^cic_gain_log2_; treat it
   // as a fractional scale and round into hbf_in_format.
-  static const fx::EventCounters& ec_renorm = fx::event_counters("chain_hbf_in");
-  for (auto& v : buf_) {
-    v = fx::requantize(v, /*src_frac=*/cic_gain_log2_, config_.hbf_in_format,
-                       fx::Rounding::kRoundNearest, fx::Overflow::kSaturate,
-                       &ec_renorm);
+  // Inline requantize with a per-block tally; built only when a sample
+  // needs it, since Requant checks its format as fx::requantize does.
+  if (!buf_.empty()) {
+    static const fx::EventCounters& ec_renorm =
+        fx::event_counters("chain_hbf_in");
+    const soa::Requant rq(/*src_frac=*/cic_gain_log2_, config_.hbf_in_format,
+                          fx::Rounding::kRoundNearest, ec_renorm);
+    soa::RequantTally tally;
+    const bool note = soa::noting_fx();
+    for (auto& v : buf_) v = soa::requantize(v, rq, tally, note);
+    tally.flush(rq);
   }
 
   // --- Halfband decimate-by-2.

@@ -22,6 +22,11 @@
 #include "src/filterdesign/saramaki.h"
 #include "src/obs/store/format.h"
 
+namespace dsadc::obs {
+class Counter;
+class Gauge;
+}  // namespace dsadc::obs
+
 namespace dsadc::runtime {
 class ChainBank;  // multichannel SoA form; may export lane state into a chain
 }
@@ -129,6 +134,18 @@ class DecimationChain {
   /// Per-stage sinc names ("sinc4_1", ...), built once at construction so
   /// process() never allocates stage-name strings.
   std::vector<std::string> sinc_names_;
+  /// Registry instruments of one stage boundary (chain.<metric>.<stage>).
+  struct StageMetrics {
+    obs::Gauge* min_raw = nullptr;
+    obs::Gauge* max_raw = nullptr;
+    obs::Gauge* rms_raw = nullptr;
+    obs::Gauge* peak_headroom_bits = nullptr;
+    obs::Counter* samples = nullptr;
+  };
+  /// Per probe slot, resolved by the first process() that runs with
+  /// observability on (never at construction: a session builds a chain on
+  /// every OPEN), so the steady state makes no registry lookups.
+  std::vector<StageMetrics> stage_metrics_;
   /// Interned trace-store name id per probe slot (stage names are fixed
   /// for a chain instance, so the first block pays the intern and the
   /// steady state is id lookups only).

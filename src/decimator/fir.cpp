@@ -33,14 +33,12 @@ std::vector<double> FixedTaps::to_real() const {
 }
 
 FirDecimator::FirDecimator(FixedTaps taps, int decimation, fx::Format in_fmt,
-                           fx::Format out_fmt, fx::Rounding rounding,
-                           fx::Overflow overflow)
+                           fx::Format out_fmt, fx::Rounding rounding)
     : taps_(std::move(taps)),
       decimation_(decimation),
       in_fmt_(in_fmt),
       out_fmt_(out_fmt),
       rounding_(rounding),
-      overflow_(overflow),
       delay_(taps_.size(), 0) {
   if (decimation_ < 1) throw std::invalid_argument("FirDecimator: decimation >= 1");
   if (taps_.taps.empty()) throw std::invalid_argument("FirDecimator: empty taps");
@@ -71,7 +69,7 @@ bool FirDecimator::push(std::int64_t in, std::int64_t& out) {
   }
   static const fx::EventCounters& ec = fx::event_counters("fir_out");
   out = fx::requantize(acc, in_fmt_.frac + taps_.frac_bits, out_fmt_,
-                       rounding_, overflow_, &ec);
+                       rounding_, fx::Overflow::kSaturate, &ec);
   return true;
 }
 
@@ -99,21 +97,30 @@ void FirDecimator::process_into(std::span<const std::int64_t> in,
   }
   for (std::size_t i = 0; i < in.size(); ++i) ext_[tap_count - 1 + i] = in[i];
 
-  static const fx::EventCounters& ec = fx::event_counters("fir_out");
-  const int acc_frac = in_fmt_.frac + taps_.frac_bits;
   out.clear();
   out.reserve(in.size() / static_cast<std::size_t>(decimation_) + 1);
   const auto d = static_cast<std::size_t>(decimation_);
   const std::size_t first =
       (d - static_cast<std::size_t>(phase_)) % d;  // first emit index
-  for (std::size_t i = first; i < in.size(); i += d) {
-    const std::int64_t* window = ext_.data() + (tap_count - 1 + i);
-    std::int64_t acc = 0;
-    for (std::size_t k = 0; k < tap_count; ++k) {
-      acc += taps_.taps[k] * window[-static_cast<std::ptrdiff_t>(k)];
+  if (first < in.size()) {
+    // Inline requantize with a per-block tally (one flush, no shared
+    // atomic per output); built only when an output needs it, since
+    // Requant checks its format as fx::requantize does per call.
+    static const fx::EventCounters& ec = fx::event_counters("fir_out");
+    const soa::Requant rq(in_fmt_.frac + taps_.frac_bits, out_fmt_, rounding_,
+                          ec);
+    soa::RequantTally tally;
+    const bool note = soa::noting_fx();
+    const std::int64_t* const taps = taps_.taps.data();
+    for (std::size_t i = first; i < in.size(); i += d) {
+      const std::int64_t* window = ext_.data() + (tap_count - 1 + i);
+      std::int64_t acc = 0;
+      for (std::size_t k = 0; k < tap_count; ++k) {
+        acc += taps[k] * window[-static_cast<std::ptrdiff_t>(k)];
+      }
+      out.push_back(soa::requantize(acc, rq, tally, note));
     }
-    out.push_back(
-        fx::requantize(acc, acc_frac, out_fmt_, rounding_, overflow_, &ec));
+    tally.flush(rq);
   }
 
   // Commit the streaming state exactly as the equivalent pushes would.

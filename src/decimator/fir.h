@@ -31,8 +31,7 @@ class FirDecimator {
   /// part (input frac + coeff frac) is rounded into it.
   FirDecimator(FixedTaps taps, int decimation, fx::Format in_fmt,
                fx::Format out_fmt,
-               fx::Rounding rounding = fx::Rounding::kRoundNearest,
-               fx::Overflow overflow = fx::Overflow::kSaturate);
+               fx::Rounding rounding = fx::Rounding::kRoundNearest);
 
   /// Push one input sample; true when an output is produced.
   bool push(std::int64_t in, std::int64_t& out);
@@ -61,7 +60,6 @@ class FirDecimator {
   int decimation_;
   fx::Format in_fmt_, out_fmt_;
   fx::Rounding rounding_;
-  fx::Overflow overflow_;
   std::vector<std::int64_t> delay_;  ///< circular history
   std::vector<std::int64_t> ext_;    ///< block-kernel window scratch
   std::size_t pos_ = 0;

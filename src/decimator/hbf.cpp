@@ -171,7 +171,12 @@ bool SaramakiHbfDecimator::push(std::int64_t in, std::int64_t& out) {
 }
 
 void SaramakiHbfDecimator::g2_block_pass(G2Block& b,
-                                         std::vector<std::int64_t>& stream) {
+                                         std::vector<std::int64_t>& stream,
+                                         const soa::Requant& rq_prod,
+                                         const soa::Requant& rq_int,
+                                         soa::RequantTally& t_prod,
+                                         soa::RequantTally& t_int,
+                                         bool note) {
   // Vector form of G2Block::step over a whole even-phase stream: the
   // circular history plus the incoming block become one contiguous
   // buffer, so every output is a linear symmetric MAC. Tap order and the
@@ -182,6 +187,13 @@ void SaramakiHbfDecimator::g2_block_pass(G2Block& b,
   for (std::size_t j = 0; j < n; ++j) g2_ext_[j] = b.hist[(b.pos + j) % n];
   std::copy(stream.begin(), stream.end(), g2_ext_.begin() + n);
 
+  // Parameters and tallies in locals: through the references, every store
+  // to `stream` could alias them and force a reload per product.
+  const soa::Requant rp = rq_prod;
+  const soa::Requant ri = rq_int;
+  soa::RequantTally tp;
+  soa::RequantTally ti;
+  const std::int64_t* const f2 = p_.f2_coeffs.data();
   const std::size_t n2 = p_.f2_coeffs.size();
   for (std::size_t m = 0; m < stream.size(); ++m) {
     const std::int64_t* newest = g2_ext_.data() + n + m;
@@ -190,10 +202,12 @@ void SaramakiHbfDecimator::g2_block_pass(G2Block& b,
       const std::int64_t near = newest[-static_cast<std::ptrdiff_t>(n2 - j)];
       const std::int64_t far =
           newest[-static_cast<std::ptrdiff_t>(n2 + j - 1)];
-      acc += requantize_product(p_.f2_coeffs[j - 1] * (near + far));
+      acc += soa::requantize(f2[j - 1] * (near + far), rp, tp, note);
     }
-    stream[m] = requantize_internal(acc);
+    stream[m] = soa::requantize(acc, ri, ti, note);
   }
+  t_prod += tp;
+  t_int += ti;
 
   // Streaming state write-back: the history holds the block's last 2*n2
   // input samples, with pos advanced as step() would have left it.
@@ -222,10 +236,24 @@ void SaramakiHbfDecimator::process_into(std::span<const std::int64_t> in,
   //   C. branch-alignment delay lines, one pass per branch;
   //   D. the f1 output combination.
   // Every sample sees the identical operations in the identical order as
-  // push(), so outputs, state, and fx event-counter totals all match.
+  // push(), so outputs, state, and fx event-counter totals all match. The
+  // requantizes run inline with per-block event tallies, flushed once at
+  // the end; with a trace-store transaction open, each event is also
+  // noted in sample order, as fx::requantize does.
+  //
+  // A Requant checks its format as fx::requantize does on every call, so
+  // each is built only once a sample needs it.
+  if (in.empty()) {
+    out.clear();
+    return;
+  }
+  const bool note = soa::noting_fx();
 
   // --- A: promote into the guard format and split phases.
   static const fx::EventCounters& ec_in = fx::event_counters("hbf_in");
+  const soa::Requant rq_in(p_.in_fmt.frac, p_.internal_fmt,
+                           fx::Rounding::kTruncate, ec_in);
+  soa::RequantTally t_in;
   std::vector<std::int64_t>& even = even_scratch_;
   std::vector<std::int64_t>& half_path = half_scratch_;
   even.clear();
@@ -233,10 +261,7 @@ void SaramakiHbfDecimator::process_into(std::span<const std::int64_t> in,
   even.reserve(in.size() / 2 + 1);
   half_path.reserve(in.size() / 2 + 1);
   for (const std::int64_t s : in) {
-    const std::int64_t x =
-        fx::requantize(s, p_.in_fmt.frac, p_.internal_fmt,
-                       fx::Rounding::kTruncate, fx::Overflow::kSaturate,
-                       &ec_in);
+    const std::int64_t x = soa::requantize(s, rq_in, t_in, note);
     if (phase_ == 1) {
       odd_delay_[opos_] = x;
       opos_ = (opos_ + 1) % odd_delay_.size();
@@ -249,15 +274,29 @@ void SaramakiHbfDecimator::process_into(std::span<const std::int64_t> in,
       phase_ = 1;
     }
   }
+  t_in.flush(rq_in);
+  if (even.empty()) {
+    out.clear();
+    return;
+  }
 
   // --- B: G2 cascade; odd cascade outputs w1, w3, ... feed the branches.
+  static const fx::EventCounters& ec_prod = fx::event_counters("hbf_product");
+  static const fx::EventCounters& ec_int = fx::event_counters("hbf_internal");
+  const soa::Requant rq_prod(p_.internal_fmt.frac + p_.coeff_frac, p_.prod_fmt,
+                             fx::Rounding::kTruncate, ec_prod);
+  const soa::Requant rq_int(p_.prod_fmt.frac, p_.internal_fmt,
+                            fx::Rounding::kRoundNearest, ec_int);
+  soa::RequantTally t_prod;
+  soa::RequantTally t_int;
   std::vector<std::int64_t>& cur = even;
   for (std::size_t k = 0; k < blocks_.size(); ++k) {
-    g2_block_pass(blocks_[k], cur);
+    g2_block_pass(blocks_[k], cur, rq_prod, rq_int, t_prod, t_int, note);
     if (k % 2 == 0) {
       branch_scratch_[k / 2].assign(cur.begin(), cur.end());
     }
   }
+  t_int.flush(rq_int);
 
   // --- C: align each branch (all but the last) through its delay line.
   for (std::size_t i = 1; i < p_.n1; ++i) {
@@ -271,18 +310,29 @@ void SaramakiHbfDecimator::process_into(std::span<const std::int64_t> in,
     }
   }
 
-  // --- D: 0.5 path + f1 taps in the power basis.
+  // --- D: 0.5 path + f1 taps in the power basis. Fresh locals again:
+  // rq_prod and t_prod escaped into the G2 passes, so the compiler would
+  // otherwise reload them after every store to `out`.
   static const fx::EventCounters& ec_out = fx::event_counters("hbf_out");
+  const soa::Requant rq_out(p_.prod_fmt.frac, p_.out_fmt,
+                            fx::Rounding::kRoundNearest, ec_out);
+  const soa::Requant rp = rq_prod;
+  soa::RequantTally tp;
+  soa::RequantTally t_out;
+  const std::int64_t half = p_.half_coeff;
+  const std::int64_t* const f1 = p_.f1_coeffs.data();
+  const std::size_t n1 = p_.n1;
   out.resize(half_path.size());
   for (std::size_t m = 0; m < out.size(); ++m) {
-    std::int64_t acc = requantize_product(p_.half_coeff * half_path[m]);
-    for (std::size_t i = 0; i < p_.n1; ++i) {
-      acc += requantize_product(p_.f1_coeffs[i] * branch_scratch_[i][m]);
+    std::int64_t acc = soa::requantize(half * half_path[m], rp, tp, note);
+    for (std::size_t i = 0; i < n1; ++i) {
+      acc += soa::requantize(f1[i] * branch_scratch_[i][m], rp, tp, note);
     }
-    out[m] = fx::requantize(acc, p_.prod_fmt.frac, p_.out_fmt,
-                            fx::Rounding::kRoundNearest,
-                            fx::Overflow::kSaturate, &ec_out);
+    out[m] = soa::requantize(acc, rq_out, t_out, note);
   }
+  t_prod += tp;
+  t_prod.flush(rq_prod);
+  t_out.flush(rq_out);
 }
 
 SaramakiHbfBank::SaramakiHbfBank(const design::SaramakiHbf& design,

@@ -26,6 +26,11 @@
 
 namespace dsadc::decim {
 
+namespace soa {
+struct Requant;
+struct RequantTally;
+}  // namespace soa
+
 namespace hbf_detail {
 
 /// Everything derived from (design, formats, coeff/guard precision) that
@@ -101,7 +106,11 @@ class SaramakiHbfDecimator {
   std::int64_t requantize_internal(std::int64_t acc) const;
   /// Vector pass of `step` + requantize_internal over a whole even-phase
   /// stream, updating `b`'s streaming state; rewrites `stream` in place.
-  void g2_block_pass(G2Block& b, std::vector<std::int64_t>& stream);
+  /// Events are added to the caller's per-block tallies (see process_into).
+  void g2_block_pass(G2Block& b, std::vector<std::int64_t>& stream,
+                     const soa::Requant& rq_prod, const soa::Requant& rq_int,
+                     soa::RequantTally& t_prod, soa::RequantTally& t_int,
+                     bool note);
 
   hbf_detail::HbfParams p_;
 

@@ -73,8 +73,9 @@ SessionRuntime::~SessionRuntime() { stop(); }
 
 void SessionRuntime::publish_inflight() const {
   if (!obs::enabled()) return;
-  obs::Registry::instance().gauge("service.inflight").set(
-      static_cast<double>(pending_.load(std::memory_order_relaxed)));
+  static obs::Gauge& inflight =
+      obs::Registry::instance().gauge("service.inflight");
+  inflight.set(static_cast<double>(pending_.load(std::memory_order_relaxed)));
 }
 
 bool SessionRuntime::submit(SessionJob job) {

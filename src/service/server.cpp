@@ -37,21 +37,6 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return fallback;
 }
 
-/// Channel-scoped tenant counter: service.<what> and service.<what>.ch<id>.
-void count_tenant(const char* what, std::uint32_t channel,
-                  std::uint64_t n = 1) {
-  if (!obs::enabled()) return;
-  auto& reg = obs::Registry::instance();
-  const std::string base = std::string("service.") + what;
-  reg.counter(base).add(n);
-  reg.counter(base + ".ch" + std::to_string(channel)).add(n);
-}
-
-void count_service(const char* what, std::uint64_t n = 1) {
-  if (!obs::enabled()) return;
-  obs::Registry::instance().counter(std::string("service.") + what).add(n);
-}
-
 /// Trace-store record of one DATA-frame admission decision (value = codes
 /// in the frame, aux = client sequence number).
 void store_admission(bool accepted, std::uint32_t channel,
@@ -66,6 +51,21 @@ void store_admission(bool accepted, std::uint32_t channel,
   e.value = static_cast<std::int64_t>(frames);
   e.aux = seq;
   obs::store::emit(e);
+}
+
+/// Per-channel registry instruments of one tenant.
+struct TenantMetrics {
+  obs::Counter* accepted = nullptr;
+  obs::Counter* shed = nullptr;
+  obs::Gauge* throughput_sps = nullptr;
+};
+
+TenantMetrics resolve_tenant_metrics(std::uint32_t channel) {
+  auto& reg = obs::Registry::instance();
+  const std::string ch = ".ch" + std::to_string(channel);
+  return TenantMetrics{&reg.counter("service.accepted" + ch),
+                       &reg.counter("service.shed" + ch),
+                       &reg.gauge("service.throughput_sps" + ch)};
 }
 
 ErrorCode status_error(SessionStatus s) {
@@ -144,6 +144,10 @@ struct Server::Connection {
   // Reader/event-thread-only session bookkeeping.
   std::unordered_map<std::uint32_t, std::uint32_t> next_seq;
   std::unordered_set<std::uint32_t> opened;
+  /// service.<metric>.ch<id> instruments, resolved on a channel's first
+  /// DATA frame with observability on (not at OPEN), so steady-state
+  /// frames build no metric names.
+  std::unordered_map<std::uint32_t, TenantMetrics> tenant_metrics;
 
   // --- epoll backend state ---
   EventThread* owner = nullptr;  ///< pinned event thread (id % N)
@@ -279,7 +283,7 @@ void Server::accept_loop(int listen_fd) {
       ::close(fd);
       return;
     }
-    count_service("connections");
+    DSADC_OBS_COUNT("service.connections");
     spawn_connection(fd);
   }
 }
@@ -316,7 +320,7 @@ void Server::conn_send(const std::shared_ptr<Connection>& conn,
   if (conn->dead.load(std::memory_order_relaxed)) return;
   if (!conn->epoll) {
     if (opts_.policy == runtime::SessionRuntime::Overload::kShed) {
-      if (!conn->out.try_push(f)) count_service("shed_out");
+      if (!conn->out.try_push(f)) DSADC_OBS_COUNT("service.shed_out");
     } else {
       // Blocking: backpressure onto the producing worker. Returns false
       // only when the ring was closed during teardown; the frame is moot.
@@ -328,7 +332,7 @@ void Server::conn_send(const std::shared_ptr<Connection>& conn,
     std::lock_guard<std::mutex> lock(conn->out_mu);
     if (opts_.policy == runtime::SessionRuntime::Overload::kShed &&
         conn->outq.size() >= opts_.out_queue_capacity) {
-      count_service("shed_out");
+      DSADC_OBS_COUNT("service.shed_out");
       return;
     }
     conn->outq.push_back(std::move(f));
@@ -396,7 +400,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
   const std::uint32_t seq = f.seq;
 
   const auto reject = [&](ErrorCode code) {
-    count_service("rejected");
+    DSADC_OBS_COUNT("service.rejected");
     conn_send(conn,
               make_frame(FrameType::kError, ch, seq,
                          encode_u32(static_cast<std::uint32_t>(code))));
@@ -457,20 +461,29 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         return;
       }
       const std::size_t frames = job.codes.size();
+      const TenantMetrics* tm = nullptr;
+      if (obs::enabled()) {
+        auto [slot, fresh] = conn->tenant_metrics.try_emplace(ch);
+        if (fresh) slot->second = resolve_tenant_metrics(ch);
+        tm = &slot->second;
+      }
+      // The callback keeps the registry-owned gauge, not `tm`: a CLOSE may
+      // erase the map entry before the job completes.
+      obs::Gauge* const throughput = tm != nullptr ? tm->throughput_sps
+                                                   : nullptr;
       const auto t0 = std::chrono::steady_clock::now();
-      job.done = [this, conn, ch, seq, frames, t0](SessionResult r) {
+      job.done = [this, conn, ch, seq, frames, t0,
+                  throughput](SessionResult r) {
         if (r.status == SessionStatus::kOk) {
           if (!r.samples.empty()) {
             conn_send(conn, make_frame(FrameType::kDataOut, ch, seq,
                                        encode_samples(r.samples)));
           }
-          if (obs::enabled()) {
+          if (throughput != nullptr && obs::enabled()) {
             const std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - t0;
             if (dt.count() > 0.0) {
-              obs::Registry::instance()
-                  .gauge("service.throughput_sps.ch" + std::to_string(ch))
-                  .set(static_cast<double>(frames) / dt.count());
+              throughput->set(static_cast<double>(frames) / dt.count());
             }
           }
         } else {
@@ -482,11 +495,17 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       };
       conn->jobs.fetch_add(1, std::memory_order_acq_rel);
       if (runtime_->submit(std::move(job))) {
-        count_tenant("accepted", ch);
+        if (tm != nullptr) {
+          DSADC_OBS_COUNT("service.accepted");
+          tm->accepted->add();
+        }
         store_admission(true, ch, frames, seq);
       } else {
         finish_job(conn);
-        count_tenant("shed", ch);
+        if (tm != nullptr) {
+          DSADC_OBS_COUNT("service.shed");
+          tm->shed->add();
+        }
         store_admission(false, ch, frames, seq);
         conn_send(conn, make_frame(FrameType::kShed, ch, seq));
       }
@@ -495,7 +514,10 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
 
     case FrameType::kDrain:
     case FrameType::kClose: {
-      if (f.type == FrameType::kClose) conn->next_seq.erase(ch);
+      if (f.type == FrameType::kClose) {
+        conn->next_seq.erase(ch);
+        conn->tenant_metrics.erase(ch);
+      }
       SessionJob job;
       job.session = conn->key(ch);
       job.op =
@@ -553,7 +575,7 @@ bool Server::process_input(const std::shared_ptr<Connection>& conn) {
     if (res == ScanResult::kNeedMore) break;
     // kBad: the byte stream is unsynchronized -- report, then drop this
     // connection. Other tenants are unaffected.
-    count_service("bad_frames");
+    DSADC_OBS_COUNT("service.bad_frames");
     DSADC_LOG_WARN("service", "dropping connection %llu: %s",
                    static_cast<unsigned long long>(conn->id), err.c_str());
     conn_send(conn, make_frame(FrameType::kError, 0, 0,

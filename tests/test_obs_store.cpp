@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "src/obs/store/tracker.h"
 #include "src/obs/store/writer.h"
 #include "src/verify/json.h"
+#include "tests/push_chain.h"
 
 namespace {
 
@@ -337,6 +340,77 @@ TEST_F(StoreTest, ChainEmitsStageEventsUnderTransaction) {
   EXPECT_EQ(reader.name(stages[4].name), "stage.halfband");
   EXPECT_EQ(stages[0].aux, codes.size());  // aux carries the sample count
   EXPECT_EQ(stages[6].aux, codes.size() / 16);
+}
+
+/// Raw fx events per transaction, in transaction order, as (name, value)
+/// multisets. Scaler hits are left out: the chain's scaler runs the bank
+/// kernel, which tallies without noting.
+std::vector<std::multiset<std::pair<std::string, std::int64_t>>> fx_by_txn(
+    const std::string& dir) {
+  StoreReader reader(dir);
+  EXPECT_TRUE(reader.ok());
+  std::map<std::uint64_t, std::multiset<std::pair<std::string, std::int64_t>>>
+      by_txn;
+  reader.visit(Category::kFx, [&](const Event& e) {
+    const std::string name(reader.name(e.name));
+    EXPECT_NE(name, "fx.suppressed") << "budget exceeded; shrink the chunks";
+    if (name.ends_with(".scaler_out")) return;
+    by_txn[e.txn].insert({name, e.value});
+  });
+  std::vector<std::multiset<std::pair<std::string, std::int64_t>>> out;
+  for (auto& [txn, events] : by_txn) out.push_back(std::move(events));
+  return out;
+}
+
+TEST_F(StoreTest, ChainFxHitsReachTransactionAsPushDoes) {
+  // Overdriven paper chain (narrow HBF output register) so both round and
+  // saturate hits occur; 8-code chunks keep every transaction under the
+  // fx event budget, so each one records all of its hits.
+  decim::ChainConfig cfg = decim::paper_chain_config();
+  cfg.hbf_out_format = fx::Format{15, 14};
+  std::vector<std::int32_t> codes(2048);
+  unsigned s = 0xF00D;
+  for (auto& c : codes) {
+    s = s * 1664525u + 1013904223u;
+    c = (s >> 31) != 0 ? 7 : -8;
+  }
+  constexpr std::size_t kChunk = 8;
+  const std::uint32_t chunk_id = intern("test.chunk");
+
+  const std::string block_dir = dir_ + "_block";
+  ASSERT_TRUE(open(block_dir));
+  {
+    decim::DecimationChain chain(cfg);
+    for (std::size_t i = 0; i < codes.size(); i += kChunk) {
+      TxnScope txn(chunk_id);
+      chain.process(std::span<const std::int32_t>(codes.data() + i, kChunk));
+    }
+  }
+  close();
+  ASSERT_TRUE(open(dir_));
+  {
+    testing_ref::PushChain ref(cfg);
+    std::vector<std::int64_t> out;
+    for (std::size_t i = 0; i < codes.size(); i += kChunk) {
+      TxnScope txn(chunk_id);
+      for (std::size_t j = i; j < i + kChunk; ++j) ref.push(codes[j], out);
+    }
+  }
+  close();
+
+  const auto block = fx_by_txn(block_dir);
+  const auto push = fx_by_txn(dir_);
+  std::error_code ec;
+  fs::remove_all(block_dir, ec);
+  ASSERT_EQ(block.size(), push.size());
+  std::size_t saturates = 0;
+  for (std::size_t t = 0; t < block.size(); ++t) {
+    EXPECT_EQ(block[t], push[t]) << "transaction " << t;
+    for (const auto& [name, value] : push[t]) {
+      saturates += name.starts_with("fx.saturate.") ? 1 : 0;
+    }
+  }
+  EXPECT_GT(saturates, 0u);
 }
 
 TEST_F(StoreTest, QueryPredicatesAndAggregation) {
