@@ -2,25 +2,43 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "src/decimator/simd.h"
 #include "src/decimator/soa.h"
 
 namespace dsadc::decim {
+namespace {
+
+/// The stage's register width, after checking the spec: it runs in the
+/// first member initialiser that needs it, so a bad spec throws before
+/// the state vectors (sized by `order`) are allocated. A width of at
+/// most 62 bits with input_bits >= 1 and log2(decimation) >= 1 also
+/// bounds the order below 62.
+int checked_register_width(const design::CicSpec& spec, const char* who) {
+  if (spec.order < 1 || spec.decimation < 2) {
+    throw std::invalid_argument(std::string(who) +
+                                ": order >= 1, decimation >= 2");
+  }
+  if (spec.input_bits < 1) {
+    throw std::invalid_argument(std::string(who) + ": input_bits >= 1");
+  }
+  const int width = spec.register_width();
+  if (width > 62) {
+    throw std::invalid_argument(std::string(who) +
+                                ": register width exceeds 62 bits");
+  }
+  return width;
+}
+
+}  // namespace
 
 CicDecimator::CicDecimator(design::CicSpec spec, CicHardwareOptions options)
     : spec_(spec),
       options_(options),
-      fmt_{spec.register_width(), 0},
+      fmt_{checked_register_width(spec, "CicDecimator"), 0},
       integ_(static_cast<std::size_t>(spec.order), 0),
-      comb_(static_cast<std::size_t>(spec.order), 0) {
-  if (spec.order < 1 || spec.decimation < 2) {
-    throw std::invalid_argument("CicDecimator: order >= 1, decimation >= 2");
-  }
-  if (fmt_.width > 62) {
-    throw std::invalid_argument("CicDecimator: register width exceeds 62 bits");
-  }
-}
+      comb_(static_cast<std::size_t>(spec.order), 0) {}
 
 void CicDecimator::reset() {
   std::fill(integ_.begin(), integ_.end(), 0);
@@ -114,18 +132,10 @@ CicDecimatorBank::CicDecimatorBank(design::CicSpec spec, std::size_t channels,
                                    CicHardwareOptions options)
     : spec_(spec),
       options_(options),
-      fmt_{spec.register_width(), 0},
+      fmt_{checked_register_width(spec, "CicDecimatorBank"), 0},
       channels_(channels),
       integ_(static_cast<std::size_t>(spec.order) * channels, 0),
       comb_(static_cast<std::size_t>(spec.order) * channels, 0) {
-  if (spec.order < 1 || spec.decimation < 2) {
-    throw std::invalid_argument(
-        "CicDecimatorBank: order >= 1, decimation >= 2");
-  }
-  if (fmt_.width > 62) {
-    throw std::invalid_argument(
-        "CicDecimatorBank: register width exceeds 62 bits");
-  }
   if (channels_ == 0) {
     throw std::invalid_argument("CicDecimatorBank: channels >= 1");
   }

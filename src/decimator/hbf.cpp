@@ -14,6 +14,13 @@ namespace hbf_detail {
 HbfParams make_hbf_params(const design::SaramakiHbf& design, fx::Format in_fmt,
                           fx::Format out_fmt, int coeff_frac_bits,
                           int guard_frac_bits) {
+  // The tenant-supplied sizes must agree with the coefficient lists they
+  // describe: the constructors size their delay lines from n1/n2.
+  if (design.n1 == 0 || design.n2 == 0 || design.n1 != design.f1_csd.size() ||
+      design.n2 != design.f2_csd.size()) {
+    throw std::invalid_argument(
+        "SaramakiHbfDecimator: n1/n2 disagree with the CSD coefficient lists");
+  }
   HbfParams p;
   p.coeff_frac = coeff_frac_bits;
   p.n1 = design.n1;

@@ -17,7 +17,7 @@ ScalingStage::ScalingStage(double scale, fx::Format in_fmt, fx::Format out_fmt,
   if (scale <= 0.0) throw std::invalid_argument("ScalingStage: scale <= 0");
 }
 
-std::int64_t ScalingStage::push(std::int64_t in) const {
+std::int64_t ScalingStage::product(std::int64_t in) const {
   // Horner-style shift-add evaluation of the CSD constant: process digits
   // from most significant to least, accumulating shifted partial sums.
   // acc carries frac = in.frac + frac_bits_ to keep all digit weights
@@ -28,8 +28,12 @@ std::int64_t ScalingStage::push(std::int64_t in) const {
     const std::int64_t term = (shift >= 0) ? (in << shift) : (in >> -shift);
     acc += d.sign > 0 ? term : -term;
   }
+  return acc;
+}
+
+std::int64_t ScalingStage::push(std::int64_t in) const {
   static const fx::EventCounters& ec = fx::event_counters("scaler_out");
-  return fx::requantize(acc, in_fmt_.frac + frac_bits_, out_fmt_,
+  return fx::requantize(product(in), in_fmt_.frac + frac_bits_, out_fmt_,
                         fx::Rounding::kRoundNearest, fx::Overflow::kSaturate,
                         &ec);
 }
@@ -43,14 +47,31 @@ std::vector<std::int64_t> ScalingStage::process(
 }
 
 void ScalingStage::process_inplace(std::vector<std::int64_t>& data) const {
+  map_inplace(data, soa::noting_fx());
+}
+
+void ScalingStage::process_bank_inplace(std::vector<std::int64_t>& data) const {
+  map_inplace(data, /*note=*/false);
+}
+
+void ScalingStage::map_inplace(std::vector<std::int64_t>& data,
+                               bool note) const {
   // Same Horner digit walk as push(), with the requantize inlined and the
-  // round/saturate events tallied per block instead of per sample.
+  // round/saturate events tallied per block instead of per sample. Noting
+  // each hit to the open transaction takes the scalar walk (the SIMD
+  // kernel only tallies); otherwise there is no per-sample cost.
   static const fx::EventCounters& ec = fx::event_counters("scaler_out");
   const soa::Requant rq(in_fmt_.frac + frac_bits_, out_fmt_,
                         fx::Rounding::kRoundNearest, ec);
   soa::RequantTally tally;
-  simd::kernels().scaler_map(data.data(), data.size(), csd_.digits.data(),
-                             csd_.digits.size(), frac_bits_, rq, tally);
+  if (note) {
+    for (std::int64_t& v : data) {
+      v = soa::requantize(product(v), rq, tally, /*note=*/true);
+    }
+  } else {
+    simd::kernels().scaler_map(data.data(), data.size(), csd_.digits.data(),
+                               csd_.digits.size(), frac_bits_, rq, tally);
+  }
   tally.flush(rq);
 }
 

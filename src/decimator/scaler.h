@@ -27,10 +27,14 @@ class ScalingStage {
   std::vector<std::int64_t> process(std::span<const std::int64_t> in) const;
 
   /// Element-wise block kernel over a caller-owned buffer (no allocation,
-  /// inline requantize with bulk event counting). The stage is stateless
-  /// and channel-oblivious, so the same call serves single-channel blocks
-  /// and channel-interleaved bank frames alike; bit-identical to push().
+  /// inline requantize with bulk event counting); bit-identical to push().
+  /// With a trace-store transaction open, each fx hit also reaches it in
+  /// sample order, as push() reports it.
   void process_inplace(std::vector<std::int64_t>& data) const;
+  /// The same kernel over channel-interleaved bank frames (the stage is
+  /// stateless and channel-oblivious). Hits are tallied but never noted to
+  /// a transaction, like every other bank stage's.
+  void process_bank_inplace(std::vector<std::int64_t>& data) const;
 
   const fx::Csd& csd() const { return csd_; }
   /// The gain actually applied after CSD quantization.
@@ -42,6 +46,11 @@ class ScalingStage {
   const fx::Format& output_format() const { return out_fmt_; }
 
  private:
+  /// The CSD shift-add product at frac in.frac + frac_bits_ (before the
+  /// output requantize).
+  std::int64_t product(std::int64_t in) const;
+  void map_inplace(std::vector<std::int64_t>& data, bool note) const;
+
   fx::Csd csd_;
   int frac_bits_;
   fx::Format in_fmt_, out_fmt_;

@@ -1,6 +1,7 @@
 #include "src/filterdesign/cic.h"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -15,8 +16,18 @@ constexpr double kPi = std::numbers::pi;
 int CicSpec::register_width() const {
   const double growth = static_cast<double>(order) *
                         std::log2(static_cast<double>(decimation));
-  // Eq. (2) of the paper gives the MSB index; width = MSB + 1.
-  return static_cast<int>(std::ceil(growth)) + input_bits;
+  // Eq. (2) of the paper gives the MSB index; width = MSB + 1. Summed in
+  // double (exact here) and clamped to int, so absurd specs (orders near
+  // 2^31) yield an out-of-range width for the caller to reject instead of
+  // overflowing.
+  const double width = std::ceil(growth) + static_cast<double>(input_bits);
+  if (!(width < static_cast<double>(std::numeric_limits<int>::max()))) {
+    return std::numeric_limits<int>::max();
+  }
+  if (width < static_cast<double>(std::numeric_limits<int>::min())) {
+    return std::numeric_limits<int>::min();
+  }
+  return static_cast<int>(width);
 }
 
 double CicSpec::dc_gain() const {

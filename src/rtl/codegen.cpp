@@ -1,6 +1,7 @@
 // See codegen.h. Two halves: emit_source() renders a CompiledSimulator's
-// elaborated tape into a self-contained C++ translation unit, and
-// build_kernel() drives compile/cache/dlopen with graceful failure.
+// elaborated tape into a self-contained C++ translation unit with one
+// entry point, and build_kernel() drives compile/cache/dlopen with
+// graceful failure.
 #include "src/rtl/codegen.h"
 
 #include <dlfcn.h>
@@ -30,10 +31,11 @@ namespace {
 namespace fs = std::filesystem;
 
 // Bumped whenever the emitted-source contract or compile flags change, so
-// stale cache entries from older schema versions never load.
-constexpr const char* kSchemaTag = "dsadc-codegen-v1";
+// stale cache entries from older schema versions never load. v2: one entry
+// point per source and object.
+constexpr const char* kSchemaTag = "dsadc-codegen-v2";
 
-// -mpopcnt keeps the activity variant's per-op __builtin_popcountll as one
+// -mpopcnt keeps the activity kernel's per-op __builtin_popcountll as one
 // instruction instead of a libgcc call that clobbers the register-resident
 // value slots (every x86-64 since Nehalem has POPCNT; other arches lower
 // the builtin natively without a flag).
@@ -177,6 +179,7 @@ bool run_compiler(const std::string& cxx, const std::string& src,
 }
 
 std::shared_ptr<CompiledKernel> load_kernel(const std::string& so_path,
+                                            const char* symbol,
                                             std::string* error) {
   void* handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (handle == nullptr) {
@@ -184,22 +187,24 @@ std::shared_ptr<CompiledKernel> load_kernel(const std::string& so_path,
     *error = err != nullptr ? err : "dlopen failed";
     return nullptr;
   }
-  auto run = reinterpret_cast<CompiledKernel::RunFn>(
-      ::dlsym(handle, "dsadc_cg_run"));
-  auto run_activity = reinterpret_cast<CompiledKernel::RunActivityFn>(
-      ::dlsym(handle, "dsadc_cg_run_activity"));
-  if (run == nullptr || run_activity == nullptr) {
-    *error = "entry points missing from " + so_path;
+  void* entry = ::dlsym(handle, symbol);
+  if (entry == nullptr) {
+    *error = std::string("entry point ") + symbol + " missing from " + so_path;
     ::dlclose(handle);
     return nullptr;
   }
-  return std::make_shared<CompiledKernel>(handle, run, run_activity);
+  return std::make_shared<CompiledKernel>(handle, entry);
 }
 
 }  // namespace
 
 CompiledKernel::~CompiledKernel() {
   if (handle_ != nullptr) ::dlclose(handle_);
+}
+
+const char* entry_symbol(Entry entry) {
+  return entry == Entry::kRunActivity ? "dsadc_cg_run_activity"
+                                      : "dsadc_cg_run";
 }
 
 bool enabled_by_env() { return env_is("DSADC_CODEGEN", {"on", "1", "true"}); }
@@ -215,7 +220,7 @@ std::string cache_dir() {
          "/dsadc-codegen";
 }
 
-BuildResult build_kernel(const std::string& source) {
+BuildResult build_kernel(const std::string& source, const char* symbol) {
   BuildResult res;
   std::string error;
   const std::string cxx = find_compiler(&error);
@@ -248,7 +253,7 @@ BuildResult build_kernel(const std::string& source) {
   // schema from a dead toolchain, deliberate corruption in tests) is
   // evicted and rebuilt once.
   if (::access(res.so_path.c_str(), R_OK) == 0) {
-    if (auto kernel = load_kernel(res.so_path, &error)) {
+    if (auto kernel = load_kernel(res.so_path, symbol, &error)) {
       res.kernel = std::move(kernel);
       res.cache_hit = true;
       return res;
@@ -273,7 +278,7 @@ BuildResult build_kernel(const std::string& source) {
     ::unlink(tmp_so.c_str());
     return res;
   }
-  if (auto kernel = load_kernel(res.so_path, &error)) {
+  if (auto kernel = load_kernel(res.so_path, symbol, &error)) {
     res.kernel = std::move(kernel);
     return res;
   }
@@ -341,16 +346,16 @@ class Emitter {
  public:
   explicit Emitter(const CompiledSimulator& sim) : sim_(sim) {}
 
-  EmitResult emit() {
+  EmitResult emit(Entry which) {
     EmitResult out;
     const std::string refusal = refuse_reason();
     if (!refusal.empty()) {
       out.error = refusal;
       return out;
     }
-    preamble();
-    entry(/*activity=*/false);
-    entry(/*activity=*/true);
+    const bool activity = which == Entry::kRunActivity;
+    preamble(activity);
+    entry(activity);
     out.source = os_.str();
     return out;
   }
@@ -383,7 +388,7 @@ class Emitter {
     return {};
   }
 
-  void preamble() {
+  void preamble(bool activity) {
     os_ << "// Generated by dsadc::rtl::codegen (" << kSchemaTag
         << ") -- do not edit.\n"
            "#include <cstdint>\n"
@@ -391,15 +396,17 @@ class Emitter {
            "typedef std::uint64_t u64;\n"
            "static inline i64 w(i64 v, int s) {\n"
            "  return (i64)((u64)v << s) >> s;\n"
-           "}\n"
-           "static inline u64 pc(i64 a, i64 b, u64 m) {\n"
-           "  return (u64)__builtin_popcountll(((u64)a ^ (u64)b) & m);\n"
            "}\n";
+    if (activity) {
+      os_ << "static inline u64 pc(i64 a, i64 b, u64 m) {\n"
+             "  return (u64)__builtin_popcountll(((u64)a ^ (u64)b) & m);\n"
+             "}\n";
+    }
   }
 
   void entry(bool activity) {
     os_ << "\nextern \"C\" void "
-        << (activity ? "dsadc_cg_run_activity" : "dsadc_cg_run")
+        << entry_symbol(activity ? Entry::kRunActivity : Entry::kRun)
         << "(u64 ticks, const i64* const* in, i64* const* out"
         << (activity ? ", u64* tg" : "") << ") {\n"
         << "  if (ticks == 0) return;\n";
@@ -581,8 +588,8 @@ class Emitter {
 
 }  // namespace
 
-EmitResult emit_source(const CompiledSimulator& sim) {
-  return Emitter(sim).emit();
+EmitResult emit_source(const CompiledSimulator& sim, Entry entry) {
+  return Emitter(sim).emit(entry);
 }
 
 }  // namespace dsadc::rtl::codegen

@@ -8,22 +8,27 @@
 // folded into literals -- compiles it with the system C++ compiler into a
 // shared object, and `dlopen`s the result. Elaboration splits in two:
 //
-//   * emit_source() (declared in compiled_sim.h, defined here as a friend
-//     of CompiledSimulator) renders the elaborated tape into a
-//     self-contained translation unit with two extern "C" entry points,
-//     `dsadc_cg_run` (pure dataflow) and `dsadc_cg_run_activity` (per-node
-//     Hamming-toggle accounting), mirroring the tape engine's two modes;
+//   * emit_source() renders the elaborated tape into a self-contained
+//     translation unit holding exactly one extern "C" entry point:
+//     `dsadc_cg_run` (pure dataflow) or `dsadc_cg_run_activity` (per-node
+//     Hamming-toggle accounting), mirroring the tape engine's two modes.
+//     Each entry point is its own source and its own cached object: the
+//     activity kernel compiles about five times slower than the plain one,
+//     and most netlists never run it, so CompiledSimulator builds the
+//     plain kernel at construction and the activity kernel on the first
+//     activity run;
 //   * build_kernel() drives the toolchain: content-hash cache lookup
 //     (FNV-1a over compiler identity + source) under
 //     DSADC_CODEGEN_CACHE_DIR, an atomic write-compile-rename on miss,
 //     eviction + one recompile when a cached .so fails to load, and
-//     dlopen/dlsym of the entry points.
+//     dlopen/dlsym of the entry point.
 //
 // Every failure mode -- no compiler on PATH, compile error, cache dir not
 // writable, unloadable object, netlist shapes the emitter refuses
 // (runtime-throwing requant shifts, oversized tapes) -- degrades to the
 // tape interpreter; CompiledSimulator records the reason in
-// engine_detail(). Environment knobs:
+// engine_detail(), or activity_engine_detail() for the activity kernel.
+// Environment knobs:
 //
 //   DSADC_CODEGEN           on/1 enables codegen for kAuto constructions;
 //                           off/0 force-disables it even for kOn.
@@ -36,41 +41,56 @@
 #include <memory>
 #include <string>
 
+namespace dsadc::rtl {
+class CompiledSimulator;
+}  // namespace dsadc::rtl
+
 namespace dsadc::rtl::codegen {
 
-/// A loaded kernel: the dlopen handle plus the resolved entry points. The
-/// generated functions own no state; all buffers are caller-provided, so
-/// one kernel can serve any number of concurrent run() calls.
+/// The two entry points; each is emitted, compiled and cached on its own.
+enum class Entry {
+  kRun,          ///< dsadc_cg_run: pure dataflow
+  kRunActivity,  ///< dsadc_cg_run_activity: plus per-node toggle counts
+};
+
+/// The extern "C" symbol `entry` is emitted under.
+const char* entry_symbol(Entry entry);
+
+/// A loaded kernel: the dlopen handle plus its one resolved entry point.
+/// The generated functions own no state; all buffers are caller-provided,
+/// so one kernel can serve any number of concurrent run() calls.
 class CompiledKernel {
  public:
-  /// Pure-dataflow entry point. `in` holds one pointer per kInput node
-  /// (aux order), `out` one pointer per kOutput node; the kernel consumes
-  /// and produces exactly ceil(ticks / clock_div) samples per stream.
+  /// Entry::kRun signature. `in` holds one pointer per kInput node (aux
+  /// order), `out` one pointer per kOutput node; the kernel consumes and
+  /// produces exactly ceil(ticks / clock_div) samples per stream.
   using RunFn = void (*)(std::uint64_t ticks,
                          const std::int64_t* const* in,
                          std::int64_t* const* out);
-  /// Activity entry point: same contract plus per-node Hamming toggle
-  /// accumulation into `toggles` (node-id indexed, caller-zeroed). Update
-  /// counts are analytic (ceil(ticks / clock_div) per node) and filled by
-  /// the driver, not the kernel.
+  /// Entry::kRunActivity signature: same contract plus per-node Hamming
+  /// toggle accumulation into `toggles` (node-id indexed, caller-zeroed).
+  /// Update counts are analytic (ceil(ticks / clock_div) per node) and
+  /// filled by CompiledSimulator, not the kernel.
   using RunActivityFn = void (*)(std::uint64_t ticks,
                                  const std::int64_t* const* in,
                                  std::int64_t* const* out,
                                  std::uint64_t* toggles);
 
-  CompiledKernel(void* handle, RunFn run_fn, RunActivityFn run_activity_fn)
-      : handle_(handle), run_(run_fn), run_activity_(run_activity_fn) {}
+  CompiledKernel(void* handle, void* entry) : handle_(handle), entry_(entry) {}
   ~CompiledKernel();
   CompiledKernel(const CompiledKernel&) = delete;
   CompiledKernel& operator=(const CompiledKernel&) = delete;
 
-  RunFn run() const { return run_; }
-  RunActivityFn run_activity() const { return run_activity_; }
+  /// The entry point as `Fn`, which must be the signature of the Entry
+  /// the kernel was built for (RunFn or RunActivityFn).
+  template <class Fn>
+  Fn entry() const {
+    return reinterpret_cast<Fn>(entry_);
+  }
 
  private:
   void* handle_ = nullptr;
-  RunFn run_ = nullptr;
-  RunActivityFn run_activity_ = nullptr;
+  void* entry_ = nullptr;
 };
 
 /// emit_source() output: exactly one of `source` (emittable netlist) or
@@ -100,9 +120,13 @@ bool disabled_by_env();
 /// Resolved cache directory (env override or $TMPDIR/dsadc-codegen).
 std::string cache_dir();
 
-/// Compile `source` (or fetch it from the content-hash cache) and load the
-/// entry points. Thread-safe: concurrent builds of the same source race
-/// benignly on an atomic rename.
-BuildResult build_kernel(const std::string& source);
+/// Render `sim`'s elaborated tape as a translation unit holding only the
+/// `entry` entry point.
+EmitResult emit_source(const CompiledSimulator& sim, Entry entry);
+
+/// Compile `source` (or fetch it from the content-hash cache) and load its
+/// `symbol` entry point. Thread-safe: concurrent builds of the same source
+/// race benignly on an atomic rename.
+BuildResult build_kernel(const std::string& source, const char* symbol);
 
 }  // namespace dsadc::rtl::codegen

@@ -1,6 +1,7 @@
 #include "src/rtl/compiled_sim.h"
 
 #include <bit>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -40,7 +41,32 @@ inline std::int64_t wrap_shift(std::int64_t v, int shift) {
          shift;
 }
 
+/// Emit, compile (or fetch from the cache) and load one entry point of
+/// `sim`. On failure the result's kernel is null; `detail` gets either way
+/// the engine_detail()-style account of what happened.
+codegen::BuildResult build_entry(const CompiledSimulator& sim,
+                                 codegen::Entry entry, std::string* detail) {
+  const codegen::EmitResult emitted = codegen::emit_source(sim, entry);
+  if (!emitted.error.empty()) {
+    *detail = "codegen refused: " + emitted.error;
+    return {};
+  }
+  codegen::BuildResult built = codegen::build_kernel(
+      emitted.source, codegen::entry_symbol(entry));
+  *detail = !built.kernel    ? "codegen unavailable: " + built.detail
+            : built.cache_hit ? "codegen cache hit"
+            : built.evicted   ? "codegen rebuilt (cache evicted)"
+                              : "codegen compiled";
+  return built;
+}
+
 }  // namespace
+
+struct CompiledSimulator::LazyKernel {
+  std::once_flag once;
+  std::shared_ptr<codegen::CompiledKernel> kernel;
+  std::string detail;
+};
 
 CompiledSimulator::CompiledSimulator(const Module& module,
                                      const CompiledSimOptions& options) {
@@ -151,24 +177,37 @@ CompiledSimulator::CompiledSimulator(const Module& module,
       break;
   }
   if (want) {
-    const codegen::EmitResult emitted = codegen::emit_source(*this);
-    if (!emitted.error.empty()) {
-      engine_detail_ = "codegen refused: " + emitted.error;
-    } else {
-      codegen::BuildResult built = codegen::build_kernel(emitted.source);
-      if (built.kernel) {
-        kernel_ = std::move(built.kernel);
-        engine_ = SimEngine::kCodegen;
-        codegen_cache_hit_ = built.cache_hit;
-        codegen_so_path_ = std::move(built.so_path);
-        engine_detail_ = built.cache_hit ? "codegen cache hit"
-                         : built.evicted ? "codegen rebuilt (cache evicted)"
-                                         : "codegen compiled";
-      } else {
-        engine_detail_ = "codegen unavailable: " + built.detail;
-      }
+    codegen::BuildResult built =
+        build_entry(*this, codegen::Entry::kRun, &engine_detail_);
+    if (built.kernel) {
+      kernel_ = std::move(built.kernel);
+      engine_ = SimEngine::kCodegen;
+      codegen_cache_hit_ = built.cache_hit;
+      codegen_so_path_ = std::move(built.so_path);
+      activity_ = std::make_shared<LazyKernel>();
     }
   }
+}
+
+const codegen::CompiledKernel* CompiledSimulator::activity_kernel() const {
+  if (!activity_) return nullptr;
+  LazyKernel& lazy = *activity_;
+  std::call_once(lazy.once, [&] {
+    DSADC_TRACE_SPAN("rtl_codegen_activity_build", "rtl");
+    lazy.kernel =
+        build_entry(*this, codegen::Entry::kRunActivity, &lazy.detail).kernel;
+  });
+  return lazy.kernel.get();
+}
+
+SimEngine CompiledSimulator::activity_engine() const {
+  return activity_kernel() != nullptr ? SimEngine::kCodegen : SimEngine::kTape;
+}
+
+const std::string& CompiledSimulator::activity_engine_detail() const {
+  if (!activity_) return engine_detail_;
+  activity_kernel();
+  return activity_->detail;
 }
 
 std::size_t CompiledSimulator::scheduled_ops_per_period() const {
@@ -290,7 +329,10 @@ void CompiledSimulator::tick_loop(
 SimResult CompiledSimulator::run(
     const std::map<NodeId, std::span<const std::int64_t>>& inputs,
     const CompiledRunOptions& options) const {
-  if (kernel_) return run_codegen(inputs, options);
+  // Activity runs whose kernel failed to build fall back to the tape.
+  if (kernel_ && (!options.activity || activity_kernel() != nullptr)) {
+    return run_codegen(inputs, options);
+  }
   DSADC_TRACE_SPAN("rtl_sim_compiled", "rtl");
 
   // Bind streams to input cursors and derive the run length; the checks
@@ -406,10 +448,12 @@ SimResult CompiledSimulator::run_codegen(
 
   if (options.activity) {
     if (ticks > 0) fill_updates(ticks, &result.activity);
-    kernel_->run_activity()(ticks, in_ptrs.data(), out_ptrs.data(),
-                            result.activity.bit_toggles.data());
+    activity_kernel()->entry<codegen::CompiledKernel::RunActivityFn>()(
+        ticks, in_ptrs.data(), out_ptrs.data(),
+        result.activity.bit_toggles.data());
   } else {
-    kernel_->run()(ticks, in_ptrs.data(), out_ptrs.data());
+    kernel_->entry<codegen::CompiledKernel::RunFn>()(ticks, in_ptrs.data(),
+                                                     out_ptrs.data());
   }
 
   for (std::size_t i = 0; i < output_nodes_.size(); ++i) {

@@ -31,9 +31,13 @@
 // On top of the tape interpreter sits an optional JIT codegen engine
 // (codegen.h): the per-phase tapes are emitted as straight-line C++ once
 // per netlist, compiled with the system compiler, cached by content hash
-// and dlopen'd. Construction falls back to the tape engine whenever
-// codegen is off, no compiler is available, or the emitter refuses the
-// netlist; engine() / engine_detail() report what happened. Both engines
+// and dlopen'd. Construction builds only the pure-dataflow kernel and
+// falls back to the tape engine whenever codegen is off, no compiler is
+// available, or the emitter refuses the netlist; engine() /
+// engine_detail() report what happened. The activity kernel is built on
+// the first activity run, once per simulator; if that build fails,
+// activity runs use the tape engine and activity_engine() /
+// activity_engine_detail() say so. Both engines
 // are bit-identical to Simulator::run on every netlist -- outputs always,
 // and the Activity counters whenever activity mode is on. The interpreted
 // simulator stays as the reference model; tests/test_compiled_sim.cpp,
@@ -57,12 +61,9 @@ class CompiledSimulator;
 
 namespace codegen {
 class CompiledKernel;
-struct EmitResult;
 /// Befriended accessor for the emitter (defined in codegen.cpp); keeps the
 /// tape internals out of the public surface.
 struct EmitAccess;
-/// Render the elaborated tape as a self-contained C++ translation unit.
-EmitResult emit_source(const CompiledSimulator& sim);
 }  // namespace codegen
 
 /// Run-time knobs for a compiled run.
@@ -93,16 +94,18 @@ struct CompiledSimOptions {
 class CompiledSimulator {
  public:
   /// Elaborates the module into phase schedules and the op tape, then
-  /// (when requested) builds the codegen kernel. The module must stay
-  /// alive no longer than needed for construction; the compiled form is
-  /// self-contained afterwards.
+  /// (when requested) builds the pure-dataflow codegen kernel. The module
+  /// must stay alive no longer than needed for construction; the compiled
+  /// form is self-contained afterwards.
   explicit CompiledSimulator(const Module& module,
                              const CompiledSimOptions& options = {});
 
   /// Drive the module exactly like Simulator::run: as many base ticks as
   /// the input streams allow, one sample consumed per domain tick of each
   /// bound kInput node. Thread-safe: run() keeps all mutable state on the
-  /// call stack, so one compiled netlist can serve many threads.
+  /// call stack, so one compiled netlist can serve many threads. On a
+  /// codegen simulator the first activity run builds the activity kernel
+  /// (exactly once, however many threads ask at the same time).
   SimResult run(const std::map<NodeId, std::span<const std::int64_t>>& inputs,
                 const CompiledRunOptions& options = {}) const;
 
@@ -125,6 +128,16 @@ class CompiledSimulator {
   /// kCodegen only: path of the cached shared object (tests corrupt it to
   /// exercise eviction).
   const std::string& codegen_so_path() const { return codegen_so_path_; }
+
+  /// Backend of activity runs: kCodegen only when engine() is kCodegen and
+  /// the activity kernel built. On a codegen simulator this builds the
+  /// activity kernel if no activity run has yet.
+  SimEngine activity_engine() const;
+  /// Why activity runs use what they use: how the activity kernel was
+  /// obtained ("codegen compiled", "codegen cache hit", ...) or why it is
+  /// unavailable; engine_detail() when engine() is kTape. Builds the
+  /// activity kernel like activity_engine().
+  const std::string& activity_engine_detail() const;
 
  private:
   friend struct codegen::EmitAccess;
@@ -187,6 +200,9 @@ class CompiledSimulator {
       const std::map<NodeId, std::span<const std::int64_t>>& inputs,
       const CompiledRunOptions& options) const;
 
+  /// The activity kernel, built on first call; null if the build failed.
+  const codegen::CompiledKernel* activity_kernel() const;
+
   std::size_t node_count_ = 0;
   int period_ = 1;
   std::vector<Phase> phases_;
@@ -203,7 +219,10 @@ class CompiledSimulator {
   std::size_t state_count_ = 0;             ///< kReg/kDecimate slots
 
   // Codegen backend state (kTape constructions leave all of it empty).
-  std::shared_ptr<codegen::CompiledKernel> kernel_;
+  std::shared_ptr<codegen::CompiledKernel> kernel_;  ///< dsadc_cg_run
+  /// dsadc_cg_run_activity, built once on first use (kCodegen only).
+  struct LazyKernel;
+  std::shared_ptr<LazyKernel> activity_;
   SimEngine engine_ = SimEngine::kTape;
   std::string engine_detail_;
   std::string codegen_so_path_;

@@ -79,7 +79,7 @@ void ChainBank::process_inplace(std::vector<std::int64_t>& data) {
   tally.flush(renorm_);
 
   hbf_.process_inplace(data);
-  scaler_.process_inplace(data);
+  scaler_.process_bank_inplace(data);
   equalizer_.process_inplace(data);
 }
 

@@ -9,6 +9,7 @@
 #include "src/verify/harness.h"
 #include "src/verify/json.h"
 #include "src/verify/repro.h"
+#include "tests/temp_dir.h"
 
 namespace {
 
@@ -33,7 +34,8 @@ TEST_P(PropertyRepro, FileRoundTripReplaysToSameVerdict) {
   const StageCase c = random_case(GetParam(), UINT64_C(0x5EED1));
   const DiffOutcome direct = run_case(c);
 
-  const std::string path = emit_repro(c, ::testing::TempDir());
+  const dsadc::testing_ref::ScopedTempDir dir;
+  const std::string path = emit_repro(c, dir.path());
   const StageCase loaded = load_repro(path);
   const DiffOutcome replayed = replay(loaded);
 

@@ -12,6 +12,7 @@
 #include "src/verify/harness.h"
 #include "src/verify/repro.h"
 #include "src/verify/shrink.h"
+#include "tests/temp_dir.h"
 
 namespace {
 
@@ -77,7 +78,8 @@ TEST(PropertyShrink, ShrunkBugRoundTripsThroughReproFile) {
   c.stimulus = shrink_stimulus(c.stimulus, fails, opt);
   c.length = c.stimulus.size();
 
-  const std::string path = emit_repro(c, ::testing::TempDir());
+  const dsadc::testing_ref::ScopedTempDir dir;
+  const std::string path = emit_repro(c, dir.path());
   const StageCase loaded = load_repro(path);
   EXPECT_EQ(loaded.kind, c.kind);
   EXPECT_EQ(loaded.stimulus, c.stimulus);

@@ -9,6 +9,10 @@
 //     tape engine and stay bit-identical to the interpreter;
 //   * the content-hash kernel cache: miss then hit, and eviction +
 //     recompile when a cached .so is unloadable;
+//   * the lazily built activity kernel: one object at construction, a
+//     second on the first activity run, cache hits for both on a second
+//     simulator, a tape fallback that stays bit-identical when that build
+//     fails, and one compile when four threads ask at once;
 //   * a reg-of-const netlist (the t==0 const-commit-after-capture
 //     ordering that distinguishes the engines' schedules);
 //   * the flattened paper chain across all 9 stimulus classes, three
@@ -22,9 +26,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/analyze/opt/opt.h"
@@ -35,12 +42,14 @@
 #include "src/rtl/sim.h"
 #include "src/verify/parallel.h"
 #include "src/verify/stimulus.h"
+#include "tests/temp_dir.h"
 
 namespace {
 
 using namespace dsadc;
 using namespace dsadc::rtl;
 using Codegen = CompiledSimOptions::Codegen;
+using testing_ref::ScopedTempDir;
 
 namespace fs = std::filesystem;
 
@@ -73,14 +82,34 @@ class EnvGuard {
 };
 
 /// Per-process scratch cache directory, shared by all tests in this
-/// binary so the paper chain is compiled at most once per run.
-const std::string& cache_dir() {
-  static const std::string dir = [] {
-    std::string tmpl = fs::temp_directory_path() / "dsadc-cg-test-XXXXXX";
-    char* p = ::mkdtemp(tmpl.data());
-    return std::string(p ? p : "/tmp/dsadc-cg-test");
-  }();
-  return dir;
+/// binary so the paper chain is compiled at most once per run. It lives
+/// as long as the test program's global environment: created before the
+/// first test, removed after the last.
+class CacheDirEnvironment final : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    dir_ = std::make_unique<ScopedTempDir>("dsadc-cg-test");
+  }
+  void TearDown() override { dir_.reset(); }
+  const std::string& path() const { return dir_->path(); }
+
+ private:
+  std::unique_ptr<ScopedTempDir> dir_;
+};
+
+CacheDirEnvironment* const kCacheEnv = static_cast<CacheDirEnvironment*>(
+    ::testing::AddGlobalTestEnvironment(new CacheDirEnvironment));
+
+const std::string& cache_dir() { return kCacheEnv->path(); }
+
+/// Number of cached kernel objects (cg_*.so) in `dir`.
+std::size_t cached_objects(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("cg_", 0) == 0 && entry.path().extension() == ".so") ++n;
+  }
+  return n;
 }
 
 bool toolchain_available() {
@@ -197,9 +226,8 @@ TEST(CodegenSelection, MissingCompilerFallsBackBitIdentical) {
 
 TEST(CodegenCache, SecondBuildHitsCache) {
   if (!toolchain_available()) GTEST_SKIP() << "no system compiler";
-  std::string tmpl = fs::temp_directory_path() / "dsadc-cg-hit-XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
-  EnvGuard dir("DSADC_CODEGEN_CACHE_DIR", tmpl.c_str());
+  const ScopedTempDir tmp("dsadc-cg-hit");
+  EnvGuard dir("DSADC_CODEGEN_CACHE_DIR", tmp.path().c_str());
 
   const Built b = small_module();
   CompiledSimulator first(b.m, {.codegen = Codegen::kOn});
@@ -211,14 +239,12 @@ TEST(CodegenCache, SecondBuildHitsCache) {
   ASSERT_EQ(second.engine(), SimEngine::kCodegen) << second.engine_detail();
   EXPECT_TRUE(second.codegen_cache_hit());
   EXPECT_EQ(second.codegen_so_path(), first.codegen_so_path());
-  fs::remove_all(tmpl);
 }
 
 TEST(CodegenCache, CorruptSoIsEvictedAndRecompiled) {
   if (!toolchain_available()) GTEST_SKIP() << "no system compiler";
-  std::string tmpl = fs::temp_directory_path() / "dsadc-cg-evict-XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
-  EnvGuard dir("DSADC_CODEGEN_CACHE_DIR", tmpl.c_str());
+  const ScopedTempDir tmp("dsadc-cg-evict");
+  EnvGuard dir("DSADC_CODEGEN_CACHE_DIR", tmp.path().c_str());
 
   const Built b = small_module();
   const std::string so = [&] {
@@ -242,7 +268,156 @@ TEST(CodegenCache, CorruptSoIsEvictedAndRecompiled) {
   const SimResult ref = interp.run({{b.in, stim}});
   expect_matches_reference(ref, b.m, b.in, stim, Codegen::kOn,
                            SimEngine::kCodegen, "recompiled after eviction");
-  fs::remove_all(tmpl);
+}
+
+/// A compiler wrapper in `dir` that appends one line to `log` per
+/// invocation and then runs the compiler the backend would pick itself
+/// (the first of c++, g++, clang++ on PATH), so a test can count compiles.
+std::string counting_cxx(const std::string& dir, const std::string& log) {
+  const std::string wrapper = dir + "/counting-cxx.sh";
+  {
+    std::ofstream out(wrapper);
+    out << "#!/bin/sh\necho compile >> '" << log << "'\n"
+        << "for c in c++ g++ clang++; do\n"
+        << "  command -v $c >/dev/null && exec $c \"$@\"\n"
+        << "done\nexit 127\n";
+  }
+  fs::permissions(wrapper, fs::perms::owner_all);
+  return wrapper;
+}
+
+std::size_t line_count(const std::string& path) {
+  std::ifstream in(path);
+  std::size_t n = 0;
+  for (std::string line; std::getline(in, line);) ++n;
+  return n;
+}
+
+/// Activity run of a codegen simulator against the interpreter.
+void expect_activity_matches(const SimResult& ref, const SimResult& got,
+                             const std::string& what) {
+  EXPECT_EQ(ref.outputs, got.outputs) << what;
+  EXPECT_EQ(ref.activity.base_ticks, got.activity.base_ticks) << what;
+  EXPECT_EQ(ref.activity.updates, got.activity.updates) << what;
+  EXPECT_EQ(ref.activity.bit_toggles, got.activity.bit_toggles) << what;
+}
+
+TEST(CodegenLazyActivity, ActivityObjectIsBuiltOnFirstActivityRun) {
+  if (!toolchain_available()) GTEST_SKIP() << "no system compiler";
+  const ScopedTempDir tmp("dsadc-cg-lazy");
+  EnvGuard dir("DSADC_CODEGEN_CACHE_DIR", tmp.path().c_str());
+  const std::string log = tmp.path() + "/compiles.log";
+  EnvGuard cxx("DSADC_CODEGEN_CXX", counting_cxx(tmp.path(), log).c_str());
+  const Built b = small_module();
+  const auto stim = ramp(64, -32, 31);
+  const SimResult ref = Simulator(b.m).run({{b.in, stim}});
+
+  CompiledSimulator sim(b.m, {.codegen = Codegen::kOn});
+  ASSERT_EQ(sim.engine(), SimEngine::kCodegen) << sim.engine_detail();
+  EXPECT_EQ(sim.run({{b.in, stim}}).outputs, ref.outputs);
+  EXPECT_EQ(sim.run({{b.in, stim}}).outputs, ref.outputs);
+  EXPECT_EQ(cached_objects(tmp.path()), 1u)
+      << "construction and plain runs must build the run kernel only";
+  EXPECT_EQ(line_count(log), 1u);
+
+  expect_activity_matches(
+      ref, sim.run({{b.in, stim}}, CompiledRunOptions{.activity = true}),
+      "first activity run");
+  EXPECT_EQ(cached_objects(tmp.path()), 2u);
+  expect_activity_matches(
+      ref, sim.run({{b.in, stim}}, CompiledRunOptions{.activity = true}),
+      "second activity run");
+  EXPECT_EQ(cached_objects(tmp.path()), 2u);
+  EXPECT_EQ(line_count(log), 2u);
+  EXPECT_EQ(sim.activity_engine(), SimEngine::kCodegen);
+  EXPECT_EQ(sim.activity_engine_detail(), "codegen compiled");
+  EXPECT_FALSE(sim.codegen_cache_hit());
+}
+
+TEST(CodegenLazyActivity, SecondSimulatorHitsCacheForBothObjects) {
+  if (!toolchain_available()) GTEST_SKIP() << "no system compiler";
+  const ScopedTempDir tmp("dsadc-cg-lazy-hit");
+  EnvGuard dir("DSADC_CODEGEN_CACHE_DIR", tmp.path().c_str());
+  const Built b = small_module();
+  const auto stim = ramp(64, -32, 31);
+  const SimResult ref = Simulator(b.m).run({{b.in, stim}});
+
+  {
+    CompiledSimulator first(b.m, {.codegen = Codegen::kOn});
+    ASSERT_EQ(first.engine(), SimEngine::kCodegen) << first.engine_detail();
+    first.run({{b.in, stim}}, CompiledRunOptions{.activity = true});
+    ASSERT_EQ(first.activity_engine(), SimEngine::kCodegen)
+        << first.activity_engine_detail();
+  }
+  CompiledSimulator second(b.m, {.codegen = Codegen::kOn});
+  ASSERT_EQ(second.engine(), SimEngine::kCodegen) << second.engine_detail();
+  EXPECT_TRUE(second.codegen_cache_hit());
+  expect_activity_matches(
+      ref, second.run({{b.in, stim}}, CompiledRunOptions{.activity = true}),
+      "cached activity kernel");
+  EXPECT_EQ(second.activity_engine_detail(), "codegen cache hit");
+  EXPECT_EQ(cached_objects(tmp.path()), 2u);
+}
+
+TEST(CodegenLazyActivity, FailedActivityBuildFallsBackToTape) {
+  if (!toolchain_available()) GTEST_SKIP() << "no system compiler";
+  const ScopedTempDir tmp("dsadc-cg-lazy-fail");
+  EnvGuard dir("DSADC_CODEGEN_CACHE_DIR", tmp.path().c_str());
+  const Built b = small_module();
+  const auto stim = ramp(64, -32, 31);
+  const SimResult ref = Simulator(b.m).run({{b.in, stim}});
+
+  CompiledSimulator sim(b.m, {.codegen = Codegen::kOn});
+  ASSERT_EQ(sim.engine(), SimEngine::kCodegen) << sim.engine_detail();
+  // The compiler disappears between construction and the first activity
+  // run: activity runs go to the tape engine, plain runs stay on codegen.
+  EnvGuard cxx("DSADC_CODEGEN_CXX", "/nonexistent/definitely-not-a-cxx");
+  expect_activity_matches(
+      ref, sim.run({{b.in, stim}}, CompiledRunOptions{.activity = true}),
+      "activity fallback");
+  EXPECT_EQ(sim.activity_engine(), SimEngine::kTape);
+  EXPECT_NE(sim.activity_engine_detail().find("DSADC_CODEGEN_CXX"),
+            std::string::npos)
+      << sim.activity_engine_detail();
+  EXPECT_EQ(sim.engine(), SimEngine::kCodegen);
+  EXPECT_EQ(sim.run({{b.in, stim}}).outputs, ref.outputs);
+  EXPECT_EQ(cached_objects(tmp.path()), 1u);
+}
+
+TEST(CodegenLazyActivity, ConcurrentFirstActivityRunsCompileOnce) {
+  if (!toolchain_available()) GTEST_SKIP() << "no system compiler";
+  const ScopedTempDir tmp("dsadc-cg-lazy-mt");
+  EnvGuard dir("DSADC_CODEGEN_CACHE_DIR", tmp.path().c_str());
+  const std::string log = tmp.path() + "/compiles.log";
+  EnvGuard cxx("DSADC_CODEGEN_CXX", counting_cxx(tmp.path(), log).c_str());
+  const Built b = small_module();
+  const auto stim = ramp(256, -32, 31);
+  const SimResult ref = Simulator(b.m).run({{b.in, stim}});
+
+  const CompiledSimulator sim(b.m, {.codegen = Codegen::kOn});
+  ASSERT_EQ(sim.engine(), SimEngine::kCodegen) << sim.engine_detail();
+  ASSERT_EQ(line_count(log), 1u);
+  constexpr int kThreads = 4;
+  std::vector<SimResult> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] =
+          sim.run({{b.in, stim}}, CompiledRunOptions{.activity = true});
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    expect_activity_matches(ref, got[static_cast<std::size_t>(t)],
+                            "thread " + std::to_string(t));
+  }
+  EXPECT_EQ(sim.activity_engine(), SimEngine::kCodegen);
+  EXPECT_EQ(sim.activity_engine_detail(), "codegen compiled");
+  EXPECT_EQ(cached_objects(tmp.path()), 2u);
+  EXPECT_EQ(line_count(log), 2u)
+      << "the activity kernel compiled more than once";
 }
 
 TEST(CodegenExactness, RegOfConstAtTickZero) {

@@ -343,8 +343,7 @@ TEST_F(StoreTest, ChainEmitsStageEventsUnderTransaction) {
 }
 
 /// Raw fx events per transaction, in transaction order, as (name, value)
-/// multisets. Scaler hits are left out: the chain's scaler runs the bank
-/// kernel, which tallies without noting.
+/// multisets.
 std::vector<std::multiset<std::pair<std::string, std::int64_t>>> fx_by_txn(
     const std::string& dir) {
   StoreReader reader(dir);
@@ -354,7 +353,6 @@ std::vector<std::multiset<std::pair<std::string, std::int64_t>>> fx_by_txn(
   reader.visit(Category::kFx, [&](const Event& e) {
     const std::string name(reader.name(e.name));
     EXPECT_NE(name, "fx.suppressed") << "budget exceeded; shrink the chunks";
-    if (name.ends_with(".scaler_out")) return;
     by_txn[e.txn].insert({name, e.value});
   });
   std::vector<std::multiset<std::pair<std::string, std::int64_t>>> out;
@@ -404,13 +402,16 @@ TEST_F(StoreTest, ChainFxHitsReachTransactionAsPushDoes) {
   fs::remove_all(block_dir, ec);
   ASSERT_EQ(block.size(), push.size());
   std::size_t saturates = 0;
+  std::size_t scaler_hits = 0;
   for (std::size_t t = 0; t < block.size(); ++t) {
     EXPECT_EQ(block[t], push[t]) << "transaction " << t;
     for (const auto& [name, value] : push[t]) {
       saturates += name.starts_with("fx.saturate.") ? 1 : 0;
+      scaler_hits += name.ends_with(".scaler_out") ? 1 : 0;
     }
   }
   EXPECT_GT(saturates, 0u);
+  EXPECT_GT(scaler_hits, 0u);
 }
 
 TEST_F(StoreTest, QueryPredicatesAndAggregation) {

@@ -16,6 +16,7 @@
 #include "src/decimator/chain.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
+#include "src/runtime/multichannel.h"
 #include "src/runtime/session.h"
 #include "src/service/client.h"
 #include "src/service/net.h"
@@ -291,6 +292,53 @@ TEST(ServiceWire, ChainConfigRoundTrip) {
   std::vector<std::uint8_t> flipped = blob;
   flipped[0] ^= 0x40;  // breaks the CFG1 magic
   EXPECT_FALSE(service::decode_chain_config(flipped, &junk));
+}
+
+/// A paper config with one field changed, sent through the wire codec the
+/// way a tenant's OPEN/CONFIG payload is: the decoder accepts it, and
+/// building the scalar chain or a chain bank must throw invalid_argument
+/// before sizing any buffer from the bad field (never bad_alloc or
+/// length_error).
+template <class Mutate>
+void expect_rejected_at_construction(Mutate mutate, const char* what) {
+  decim::ChainConfig cfg = decim::paper_chain_config();
+  mutate(cfg);
+  decim::ChainConfig decoded;
+  ASSERT_TRUE(service::decode_chain_config(service::encode_chain_config(cfg),
+                                           &decoded))
+      << what;
+  EXPECT_THROW(decim::DecimationChain chain(decoded), std::invalid_argument)
+      << what << " (scalar chain)";
+  EXPECT_THROW(runtime::ChainBank bank(decoded, 4), std::invalid_argument)
+      << what << " (chain bank)";
+}
+
+TEST(ServiceWire, InconsistentHbfSizesAreRejected) {
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) { c.hbf.n1 = 35843; }, "hbf.n1 = 35843");
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) { c.hbf.n2 = 2231369734u; },
+      "hbf.n2 = 2231369734");
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) { c.hbf.n1 = 0; }, "hbf.n1 = 0");
+}
+
+TEST(ServiceWire, HugeCicOrderIsRejected) {
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) { c.cic_stages[0].order = 1 << 30; },
+      "cic order 2^30");
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) {
+        c.cic_stages[1].order = 1 << 30;
+        c.cic_stages[1].decimation = (1 << 30) + 1;
+      },
+      "cic order and decimation near 2^30");
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) {
+        c.cic_stages[0].order = 1 << 30;
+        c.cic_stages[0].input_bits = -(1 << 30);
+      },
+      "cic order 2^30 with input_bits -2^30");
 }
 
 TEST(ServiceWire, PresetsAreSharedAndBounded) {

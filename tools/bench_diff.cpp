@@ -11,11 +11,13 @@
 // shared metrics when no --gate is given) fail the run when they regress
 // by more than --tolerance (default 0.20, i.e. 20%).
 //
-// Regression direction is inferred from the metric name: names containing
-// a lower-is-better keyword (ms, seconds, power, error, area, adders,
-// registers, macs) regress upward, everything else (throughput, speedup,
-// snr, ...) regresses downward. A current-side record with ok=false fails
-// regardless of metrics.
+// Regression direction is inferred from the metric name: times (a `_s`,
+// `_ms`, `_us` or `_ns` suffix, or `_s_per_` as in real_s_per_iter),
+// spreads (rel_iqr) and names containing a lower-is-better keyword (power,
+// error, area, adders, registers, macs, latency, wall) regress upward;
+// everything else (throughput such as items_per_second or mcodes_per_s,
+// speedup, snr, ...) regresses downward. A current-side record with
+// ok=false fails regardless of metrics.
 //
 // After the per-metric lines, a ranked summary lists the worst gated
 // regressions and the best improvements (--top N, default 5) so a long
@@ -73,18 +75,23 @@ std::map<std::string, Json> load_records(const std::string& arg) {
 }
 
 bool lower_is_better(const std::string& metric) {
-  // "_ms"/"_s" only as a suffix ("items_per_second" must stay
-  // higher-is-better); the rest anywhere in the name.
-  static const char* const kSuffixes[] = {"_ms", "_us", "_ns"};
-  for (const char* sfx : kSuffixes) {
+  const auto ends_with = [&](const char* sfx) {
     const std::size_t n = std::strlen(sfx);
-    if (metric.size() >= n && metric.compare(metric.size() - n, n, sfx) == 0) {
-      return true;
-    }
+    return metric.size() >= n &&
+           metric.compare(metric.size() - n, n, sfx) == 0;
+  };
+  // Rates end in "_per_s" (mcodes_per_s) or "_per_second": higher is
+  // better, even though the first also ends in "_s".
+  if (ends_with("_per_s") || ends_with("_per_second")) return false;
+  // Time units only as a suffix ("items_per_second" must stay
+  // higher-is-better); the rest anywhere in the name.
+  static const char* const kSuffixes[] = {"_s", "_ms", "_us", "_ns"};
+  for (const char* sfx : kSuffixes) {
+    if (ends_with(sfx)) return true;
   }
-  static const char* const kKeywords[] = {"power",  "error",     "area",
-                                          "adders", "macs",      "registers",
-                                          "latency", "wall"};
+  static const char* const kKeywords[] = {
+      "_s_per_", "rel_iqr",   "power",   "error", "area",
+      "adders",  "registers", "latency", "wall",  "macs"};
   for (const char* kw : kKeywords) {
     if (metric.find(kw) != std::string::npos) return true;
   }

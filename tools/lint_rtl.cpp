@@ -19,8 +19,8 @@
 // deterministic stimulus and demands bit-identical output streams and
 // activity counters -- the dynamic counterpart of the static width
 // proofs, and CI's engine-equivalence gate. --require-codegen turns a
-// tape fallback into a failure so the codegen CI lane cannot silently
-// lose its subject.
+// tape fallback, of the plain or of the activity kernel, into a failure
+// so the codegen CI lane cannot silently lose its subject.
 //
 // --optimize runs the proof-carrying netlist optimizer (src/analyze/opt)
 // on every linted module, re-checks each proof bundle with the independent
@@ -130,7 +130,8 @@ std::string diff_runs(const dsadc::rtl::SimResult& ref,
 /// bit-identical to the interpreter. The tape engine is always checked;
 /// the codegen engine joins the comparison when it can be built (and is
 /// mandatory under --require-codegen, so a CI lane that expects the JIT
-/// cannot silently fall back to the tape).
+/// cannot silently fall back to the tape -- neither for plain runs nor
+/// for the activity kernel, which is built on the first activity run).
 SimCheck sim_crosscheck_module(const dsadc::rtl::Module& m,
                                dsadc::rtl::NodeId in, const std::string& name,
                                bool require_codegen) {
@@ -153,8 +154,17 @@ SimCheck sim_crosscheck_module(const dsadc::rtl::Module& m,
     dsadc::rtl::CompiledSimulator cg(m, {.codegen = Codegen::kOn});
     if (cg.engine() == dsadc::rtl::SimEngine::kCodegen) {
       check.engines += "/codegen";
-      check.detail =
-          diff_runs(ref, cg.run({{in, stim}}, {.activity = true}), "codegen");
+      if (cg.run({{in, stim}}).outputs != ref.outputs) {
+        check.detail = "codegen: output streams diverge (plain run)";
+      } else {
+        check.detail = diff_runs(ref, cg.run({{in, stim}}, {.activity = true}),
+                                 "codegen");
+      }
+      if (check.detail.empty() && require_codegen &&
+          cg.activity_engine() != dsadc::rtl::SimEngine::kCodegen) {
+        check.detail = "codegen activity kernel unavailable: " +
+                       cg.activity_engine_detail();
+      }
     } else if (require_codegen) {
       check.detail = "codegen engine unavailable: " + cg.engine_detail();
     }
