@@ -3,11 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/decimator/simd.h"
 #include "src/decimator/soa.h"
 
 namespace dsadc::decim {
+namespace {
+
+/// Admit `taps` for `in_fmt` samples only when the worst-case dot product
+/// fits the int64 accumulator: sum |tap| * 2^(width-1) < 2^63, which also
+/// bounds every product and partial sum of the MAC loop.
+FixedTaps checked_taps(FixedTaps taps, fx::Format in_fmt, const char* who) {
+  const int shift = std::clamp(in_fmt.width - 1, 0, 63);
+  const std::uint64_t limit = std::uint64_t{1} << (63 - shift);
+  std::uint64_t sum = 0;  // < limit <= 2^63 before each add: cannot wrap
+  for (const std::int64_t t : taps.taps) {
+    sum += t < 0 ? 0 - static_cast<std::uint64_t>(t)
+                 : static_cast<std::uint64_t>(t);
+    if (sum >= limit) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": tap sum overflows the accumulator");
+    }
+  }
+  return taps;
+}
+
+}  // namespace
 
 FixedTaps FixedTaps::from_real(std::span<const double> real_taps,
                                int frac_bits) {
@@ -19,7 +41,11 @@ FixedTaps FixedTaps::from_real(std::span<const double> real_taps,
   out.taps.reserve(real_taps.size());
   const double scale = std::ldexp(1.0, frac_bits);
   for (double t : real_taps) {
-    out.taps.push_back(static_cast<std::int64_t>(std::nearbyint(t * scale)));
+    const double r = std::nearbyint(t * scale);
+    if (!(r >= -0x1p63 && r < 0x1p63)) {  // also rejects NaN and inf
+      throw std::invalid_argument("FixedTaps: tap does not fit in int64");
+    }
+    out.taps.push_back(static_cast<std::int64_t>(r));
   }
   return out;
 }
@@ -34,7 +60,7 @@ std::vector<double> FixedTaps::to_real() const {
 
 FirDecimator::FirDecimator(FixedTaps taps, int decimation, fx::Format in_fmt,
                            fx::Format out_fmt, fx::Rounding rounding)
-    : taps_(std::move(taps)),
+    : taps_(checked_taps(std::move(taps), in_fmt, "FirDecimator")),
       decimation_(decimation),
       in_fmt_(in_fmt),
       out_fmt_(out_fmt),
@@ -136,7 +162,7 @@ void FirDecimator::process_into(std::span<const std::int64_t> in,
 FirDecimatorBank::FirDecimatorBank(FixedTaps taps, int decimation,
                                    std::size_t channels, fx::Format in_fmt,
                                    fx::Format out_fmt, fx::Rounding rounding)
-    : taps_(std::move(taps)),
+    : taps_(checked_taps(std::move(taps), in_fmt, "FirDecimatorBank")),
       decimation_(decimation),
       channels_(channels),
       in_fmt_(in_fmt),

@@ -1,7 +1,6 @@
 #include "src/decimator/hbf.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "src/decimator/simd.h"
@@ -10,6 +9,19 @@
 namespace dsadc::decim {
 
 namespace hbf_detail {
+namespace {
+
+/// |c| * 2^operand_log2 < 2^63: c times any operand of magnitude at most
+/// 2^operand_log2 fits in int64.
+bool product_fits(std::int64_t c, int operand_log2) {
+  const int k = std::max(operand_log2, 0);
+  if (k >= 63) return c == 0;
+  const std::uint64_t mag = c < 0 ? 0 - static_cast<std::uint64_t>(c)
+                                  : static_cast<std::uint64_t>(c);
+  return mag < (std::uint64_t{1} << (63 - k));
+}
+
+}  // namespace
 
 HbfParams make_hbf_params(const design::SaramakiHbf& design, fx::Format in_fmt,
                           fx::Format out_fmt, int coeff_frac_bits,
@@ -39,18 +51,40 @@ HbfParams make_hbf_params(const design::SaramakiHbf& design, fx::Format in_fmt,
   if (p.internal_fmt.width > 62) {
     throw std::invalid_argument("SaramakiHbfDecimator: internal width > 62");
   }
-  const double scale = std::ldexp(1.0, p.coeff_frac);
   // Use the CSD-quantized coefficient values from the design: the datapath
   // must be bit-consistent with the shift-add network the RTL builds.
-  for (const auto& c : design.f2_csd) {
-    p.f2_coeffs.push_back(
-        static_cast<std::int64_t>(std::nearbyint(c.to_double() * scale)));
+  // FixedTaps::from_real rejects a precision or a value int64 cannot hold.
+  const auto scaled = [&p](const std::vector<fx::Csd>& csd) {
+    std::vector<double> real;
+    real.reserve(csd.size());
+    for (const auto& c : csd) real.push_back(c.to_double());
+    return FixedTaps::from_real(real, p.coeff_frac).taps;
+  };
+  p.f2_coeffs = scaled(design.f2_csd);
+  p.f1_coeffs = scaled(design.f1_csd);
+  const double half = 0.5;
+  p.half_coeff = FixedTaps::from_real({&half, 1}, p.coeff_frac).taps[0];
+
+  // Every multiplier operand is an internal-format value (promoted input,
+  // G2 output or its delayed copy), |v| <= 2^(width-1); a G2 tap
+  // multiplies the sum of two of them. Each adder tree sums
+  // product-format terms, |t| <= 2^(width-1): n2 per G2 output, n1 + 1
+  // per output sample.
+  const int operand = p.internal_fmt.width - 1;
+  const int term = p.prod_fmt.width - 1;
+  bool fits = product_fits(p.half_coeff, operand) &&
+              product_fits(static_cast<std::int64_t>(p.n2), term) &&
+              product_fits(static_cast<std::int64_t>(p.n1 + 1), term);
+  for (const std::int64_t c : p.f2_coeffs) {
+    fits = fits && product_fits(c, operand + 1);
   }
-  for (const auto& c : design.f1_csd) {
-    p.f1_coeffs.push_back(
-        static_cast<std::int64_t>(std::nearbyint(c.to_double() * scale)));
+  for (const std::int64_t c : p.f1_coeffs) {
+    fits = fits && product_fits(c, operand);
   }
-  p.half_coeff = static_cast<std::int64_t>(std::nearbyint(0.5 * scale));
+  if (!fits) {
+    throw std::invalid_argument(
+        "SaramakiHbfDecimator: a product or adder tree overflows int64");
+  }
   return p;
 }
 

@@ -11,7 +11,7 @@
 // bit-identical to one-shot processing of the concatenated stream), and
 // sessions are sharded by `id % shards` into admission queues.
 //
-// Each shard is a bounded MpmcRing of jobs (spsc.h) plus an atomic
+// Each shard is a bounded MpmcRing of jobs (mpmc.h) plus an atomic
 // `busy` claim flag. Any number of submitters push; a small worker pool
 // (DSADC_RUNTIME_THREADS / Options::workers) scans the shards, claims a
 // non-empty one with an atomic exchange, drains it in FIFO order, and
@@ -21,8 +21,8 @@
 //
 // Overload policy (Options::policy):
 //  * kBlock: submit() blocks until the shard queue has room -- the
-//    backpressure propagates to the connection reader and from there to
-//    the client socket;
+//    backpressure propagates to the submitting connection and from
+//    there to the client socket;
 //  * kShed: a kData job whose shard queue is full is refused (submit()
 //    returns false) and the caller accounts the shed. Lifecycle jobs
 //    (open/reconfigure/drain/close) always block: losing them would
@@ -57,7 +57,7 @@
 #include <vector>
 
 #include "src/decimator/chain.h"
-#include "src/runtime/spsc.h"
+#include "src/runtime/mpmc.h"
 
 namespace dsadc::runtime {
 
@@ -137,7 +137,8 @@ class SessionRuntime {
 
   /// Finish every admitted job, then join the workers. Idempotent; the
   /// destructor calls it. Submitters must be quiesced first (the service
-  /// joins its connection readers before stopping the runtime): a
+  /// waits for every connection's input to end before stopping the
+  /// runtime): a
   /// submit() that races stop() may be refused or left unexecuted.
   void stop();
 

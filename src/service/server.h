@@ -1,27 +1,40 @@
 // Decimation-as-a-service: the socket front-end over runtime::SessionRuntime.
 //
-// A Server listens on a unix-domain socket and/or 127.0.0.1 TCP. Each
-// accepted connection gets a reader thread (parse + validate frames,
-// admit jobs) and a writer thread (drain the connection's bounded output
-// ring to the socket). Channel ids are scoped per connection -- session
-// key = (connection id << 32) | channel -- so tenants cannot touch each
+// A Server listens on a unix-domain socket and/or 127.0.0.1 TCP. One
+// accept thread per listener hands each new connection to a small pool
+// of event threads (ServerOptions::event_threads), pinned by connection
+// id. Each event thread runs an edge-triggered epoll loop over its share
+// of the connections, so all of a connection's parse and I/O state is
+// single-threaded. Channel ids are scoped per connection -- session key =
+// (connection id << 32) | channel -- so tenants cannot touch each
 // other's streams; with the default power-of-two shard count the shard a
 // channel lands on is simply channel mod shards.
 //
 // Data path:
 //
-//   reader --validate/seq-check--> SessionRuntime shard ring
-//          --worker pool--> DecimationChain::process --> encode DATA_OUT
-//          --> connection output MpmcRing --> writer --> socket
+//   event thread: recv --> scan_frame in place --validate/seq-check-->
+//          SessionRuntime shard ring --worker pool-->
+//          DecimationChain::process --> encode DATA_OUT -->
+//          connection output queue --eventfd wake--> event thread:
+//          sendmsg(header, payload) --> socket
+//
+// Frames are scanned in place in the connection's receive buffer (wire.h
+// scan_frame -- the payload is never copied into an intermediate Frame)
+// and responses leave via sendmsg as header+payload iovec pairs. Worker
+// callbacks enqueue OutFrames and wake the owning event thread through
+// its eventfd; an event thread never blocks on a slow client's socket.
 //
 // Backpressure and overload (ServerOptions::policy):
-//  * kBlock: full shard ring blocks the reader (TCP/unix flow control
-//    pushes back to the client); full output ring blocks the worker,
-//    which stalls that connection's shard only -- zero sample loss.
-//  * kShed: full shard ring drops the DATA frame, counts service.shed
+//  * kBlock: a full shard ring blocks the submitting event thread; an
+//    output queue past ServerOptions::out_queue_capacity (the high-water
+//    mark) pauses that connection's *input* until the queue half-drains,
+//    so TCP/unix flow control pushes back to the client -- zero sample
+//    loss.
+//  * kShed: a full shard ring drops the DATA frame, counts service.shed
 //    and notifies the client with a SHED frame carrying the dropped
-//    sequence number; full output ring drops the outbound frame and
-//    counts service.shed_out. Workers never block on a slow consumer.
+//    sequence number; an output queue at the high-water mark drops the
+//    outbound frame and counts service.shed_out. Workers never block on
+//    a slow consumer.
 //
 // Lifecycle frames (OPEN/CONFIG/DRAIN/CLOSE) are never shed. A
 // malformed byte stream (bad magic/CRC/length) terminates only that
@@ -33,27 +46,14 @@
 // service.inflight gauge (admitted jobs not yet executed) and
 // service.throughput_sps.ch<id> gauges.
 //
-// I/O backends (ServerOptions::io, DSADC_SERVICE_IO):
-//  * kThreads: the blocking path above -- two threads per connection.
-//  * kEpoll (default on Linux): a small pool of event threads, each
-//    running an edge-triggered epoll loop over its share of the
-//    connections (pinned by connection id). Frames are scanned in place
-//    in the connection's receive buffer (wire.h scan_frame -- the payload
-//    is never copied into an intermediate Frame) and responses leave via
-//    writev as header+payload iovec pairs. Worker callbacks enqueue
-//    OutFrames and wake the owning event thread through an eventfd.
-//    Backpressure under kBlock pauses a connection's *input* when its
-//    output queue passes the cap (TCP flow control then pushes back),
-//    so an event thread never blocks on a slow client.
-//
 // Environment knobs (all optional; see options_from_env):
 //   DSADC_SERVICE_POLICY        block | shed
 //   DSADC_SERVICE_SHARDS        shard count (default 16)
 //   DSADC_SERVICE_THREADS       worker count (default DSADC_RUNTIME_THREADS
 //                               or hardware concurrency)
 //   DSADC_SERVICE_QUEUE_CAP     jobs per shard ring (default 64)
-//   DSADC_SERVICE_OUT_CAP       frames per connection output ring (256)
-//   DSADC_SERVICE_IO            epoll | threads (default epoll on Linux)
+//   DSADC_SERVICE_OUT_CAP       per-connection output high-water mark in
+//                               frames (default 256)
 //   DSADC_SERVICE_EVENT_THREADS epoll event threads (default 2)
 //   DSADC_SERVICE_BATCH_LINGER_US  lockstep group linger (default 20000)
 #pragma once
@@ -73,11 +73,6 @@
 
 namespace dsadc::service {
 
-enum class IoBackend : std::uint8_t {
-  kThreads,  ///< blocking reader/writer thread pair per connection
-  kEpoll,    ///< edge-triggered event-thread pool (Linux; default there)
-};
-
 struct ServerOptions {
   std::string unix_path;       ///< empty -> no unix listener
   bool tcp = false;            ///< also listen on 127.0.0.1
@@ -87,13 +82,10 @@ struct ServerOptions {
   std::size_t shards = 16;
   std::size_t workers = 0;  ///< 0 -> configured_threads()
   std::size_t queue_capacity = 64;
+  /// Output high-water mark in frames: kBlock pauses the connection's
+  /// input above it, kShed drops outbound frames at it.
   std::size_t out_queue_capacity = 256;
-#ifdef __linux__
-  IoBackend io = IoBackend::kEpoll;
-#else
-  IoBackend io = IoBackend::kThreads;
-#endif
-  std::size_t event_threads = 2;  ///< epoll backend only
+  std::size_t event_threads = 2;
   /// Lockstep batch-group linger (runtime::SessionRuntime::Options).
   std::int64_t batch_linger_us = 20000;
 };
@@ -131,8 +123,6 @@ class Server {
 
   void accept_loop(int listen_fd);
   void spawn_connection(int fd);
-  void reader_loop(const std::shared_ptr<Connection>& conn);
-  void writer_loop(const std::shared_ptr<Connection>& conn);
   /// Dispatch one validated frame. `f.payload` borrows the connection's
   /// receive buffer; anything that outlives the call (job codes, config
   /// blobs) is decoded out of the span here.
@@ -141,7 +131,7 @@ class Server {
   /// Scan + dispatch every complete frame in the connection's receive
   /// buffer, then compact. False on a malformed stream (kBad).
   bool process_input(const std::shared_ptr<Connection>& conn);
-  /// Close the connection's sessions (reader-thread teardown path).
+  /// Close the connection's sessions once its input has ended.
   void teardown(const std::shared_ptr<Connection>& conn);
   /// Enqueue one sealed server->client frame per the overload policy.
   void conn_send(const std::shared_ptr<Connection>& conn, OutFrame&& f);
@@ -153,7 +143,6 @@ class Server {
   std::shared_ptr<const decim::ChainConfig> resolve_config(
       std::span<const std::uint8_t> payload, ErrorCode* err);
 
-  // --- epoll backend ---
   void event_loop(EventThread& et);
   void on_readable(EventThread& et, const std::shared_ptr<Connection>& conn);
   void flush_out(EventThread& et, const std::shared_ptr<Connection>& conn);

@@ -1,8 +1,9 @@
-// Multi-channel runtime + pipelined executor: bit-exactness against the
-// scalar DecimationChain (outputs AND fx saturation/round counter totals),
-// determinism across worker counts, and the SPSC ring protocol.
+// Multi-channel runtime: bit-exactness against the scalar DecimationChain
+// (outputs AND fx saturation/round counter totals), determinism across
+// worker counts, and the MPMC admission-ring protocol.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <map>
 #include <random>
@@ -13,9 +14,8 @@
 #include "src/decimator/chain.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
+#include "src/runtime/mpmc.h"
 #include "src/runtime/multichannel.h"
-#include "src/runtime/pipeline.h"
-#include "src/runtime/spsc.h"
 #include "src/verify/stimulus.h"
 
 namespace {
@@ -52,8 +52,8 @@ std::vector<std::int32_t> stimulus_codes(verify::StimulusClass c,
 }
 
 /// The fx event-counter totals the chain's requantization sites produce.
-/// Counter names are stable; equality of the whole map proves the bank /
-/// pipelined kernels made the identical per-sample round and saturate
+/// Counter names are stable; equality of the whole map proves the bank
+/// kernels made the identical per-sample round and saturate
 /// decisions as the scalar chain.
 std::map<std::string, std::uint64_t> fx_snapshot() {
   static const char* kSites[] = {"chain_hbf_in", "hbf_in",     "hbf_product",
@@ -82,130 +82,30 @@ class RuntimeTest : public ::testing::Test {
   void TearDown() override { set_runtime_threads(nullptr); }
 };
 
-// --- SPSC ring protocol -------------------------------------------------
-
-TEST(SpscRing, FifoSingleThread) {
-  runtime::SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  int v = 0;
-  EXPECT_FALSE(ring.try_pop(v));
-  for (int i = 0; i < 4; ++i) {
-    int x = i;
-    EXPECT_TRUE(ring.try_push(x));
-  }
-  int x = 99;
-  EXPECT_FALSE(ring.try_push(x)) << "ring should be full";
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  runtime::SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRing, CloseDrainsRemainingElements) {
-  runtime::SpscRing<int> ring(8);
-  for (int i = 0; i < 3; ++i) {
-    int x = i;
-    ASSERT_TRUE(ring.try_push(x));
-  }
-  ring.close();
-  int v = -1;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(ring.pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.pop(v)) << "closed and drained";
-}
-
-TEST(SpscRing, ThreadedFifoOrder) {
-  runtime::SpscRing<std::size_t> ring(4);  // small: forces backpressure
-  constexpr std::size_t kN = 20000;
-  std::thread producer([&ring] {
-    for (std::size_t i = 0; i < kN; ++i) ring.push(i);
-    ring.close();
-  });
-  std::size_t expected = 0;
-  std::size_t v = 0;
-  while (ring.pop(v)) {
-    ASSERT_EQ(v, expected);
-    ++expected;
-  }
-  producer.join();
-  EXPECT_EQ(expected, kN);
-}
-
-TEST(SpscRing, ProducerCloseWhileConsumerBlocksDeliversFinalBlock) {
-  // The close-flag race the service depends on: a consumer blocked in
-  // pop() on an empty ring must receive an element pushed immediately
-  // before close() -- the final partial block -- and only then get
-  // end-of-stream. No deadlock, no drop, on any interleaving.
-  for (int trial = 0; trial < 200; ++trial) {
-    runtime::SpscRing<int> ring(8);
-    std::atomic<bool> consumer_ready{false};
-    std::vector<int> got;
-    std::thread consumer([&] {
-      consumer_ready.store(true);
-      int v = 0;
-      while (ring.pop(v)) got.push_back(v);  // blocks on empty
-    });
-    while (!consumer_ready.load()) std::this_thread::yield();
-    int final_block = 41;
-    ASSERT_TRUE(ring.try_push(final_block));
-    ring.close();  // push-then-close: EOS after the final element
-    consumer.join();
-    ASSERT_EQ(got, std::vector<int>{41}) << "trial " << trial;
-  }
-}
-
-TEST(SpscRing, ConsumerCloseUnblocksFullRingProducer) {
-  // The other direction: a producer stuck in push() on a full ring whose
-  // consumer cancels must return false instead of spinning forever.
-  runtime::SpscRing<int> ring(2);
-  for (int i = 0; i < 2; ++i) {
-    int v = i;
-    ASSERT_TRUE(ring.try_push(v));
-  }
-  std::atomic<bool> pushed{false};
-  std::atomic<bool> push_result{true};
-  std::thread producer([&] {
-    push_result.store(ring.push(99));  // full: blocks until close
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(pushed.load()) << "push should be blocked on a full ring";
-  ring.close();
-  producer.join();
-  EXPECT_FALSE(push_result.load()) << "push after close must report failure";
-  int v = 0;
-  EXPECT_FALSE(ring.try_push(v)) << "pushes fail once closed";
-}
-
 // --- MPMC ring (service admission queues) -------------------------------
 
 TEST(MpmcRing, SingleProducerFifoOrder) {
   // The ordering contract the service leans on: one producer's pushes
-  // (a connection reader) leave the ring in push order even with
+  // (a connection's event thread) leave the ring in push order even with
   // concurrent consumers... here checked with one consumer for a strict
   // sequence, under capacity pressure.
   runtime::MpmcRing<std::size_t> ring(4);
   constexpr std::size_t kN = 20000;
   std::thread producer([&ring] {
     for (std::size_t i = 0; i < kN; ++i) ring.push(i);
-    ring.close();
   });
   std::size_t expected = 0;
   std::size_t v = 0;
-  while (ring.pop(v)) {
+  while (expected < kN) {
+    if (!ring.try_pop(v)) {
+      std::this_thread::yield();
+      continue;
+    }
     ASSERT_EQ(v, expected);
     ++expected;
   }
   producer.join();
-  EXPECT_EQ(expected, kN);
+  EXPECT_FALSE(ring.try_pop(v));
 }
 
 TEST(MpmcRing, ManyProducersManyConsumersLoseNothing) {
@@ -222,23 +122,28 @@ TEST(MpmcRing, ManyProducersManyConsumersLoseNothing) {
       }
     });
   }
+  constexpr std::uint64_t kTotal = kProducers * kPerProducer;
+  std::atomic<std::uint64_t> popped{0};
   std::vector<std::thread> consumers;
   std::vector<std::uint64_t> sums(kConsumers, 0);
   std::vector<std::size_t> counts(kConsumers, 0);
   for (std::size_t c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&ring, &sums, &counts, c] {
+    consumers.emplace_back([&ring, &popped, &sums, &counts, c] {
       std::size_t v = 0;
-      while (ring.pop(v)) {
+      while (popped.load() < kTotal) {
+        if (!ring.try_pop(v)) {
+          std::this_thread::yield();
+          continue;
+        }
+        popped.fetch_add(1);
         sums[c] += v;
         ++counts[c];
       }
     });
   }
   for (auto& t : producers) t.join();
-  ring.close();
   for (auto& t : consumers) t.join();
 
-  constexpr std::uint64_t kTotal = kProducers * kPerProducer;
   std::uint64_t sum = 0;
   std::size_t count = 0;
   for (std::size_t c = 0; c < kConsumers; ++c) {
@@ -254,7 +159,6 @@ TEST(MpmcRing, CapacityOneRoundsUpToTwo) {
   // unconsumed element and livelocks the consumer; capacity must floor
   // at 2 so a capacity-1 request still yields a correct queue.
   runtime::MpmcRing<int> ring(1);
-  EXPECT_EQ(ring.capacity(), 2u);
   int v = 10;
   ASSERT_TRUE(ring.try_push(v));
   v = 20;
@@ -282,14 +186,17 @@ TEST(MpmcRing, TryPushFailsOnlyWhenFullOrClosed) {
   EXPECT_EQ(out, 1);
   v = 3;
   EXPECT_TRUE(ring.try_push(v)) << "slot reusable after pop";
+  // SessionRuntime::stop() closes each shard ring: pushes must fail from
+  // then on, while every element pushed before the close still drains.
   ring.close();
   v = 4;
   EXPECT_FALSE(ring.try_push(v)) << "closed";
-  EXPECT_TRUE(ring.pop(out));
+  EXPECT_FALSE(ring.push(5)) << "blocking push returns once closed";
+  EXPECT_TRUE(ring.try_pop(out));
   EXPECT_EQ(out, 2);
-  EXPECT_TRUE(ring.pop(out)) << "close drains remaining elements";
+  EXPECT_TRUE(ring.try_pop(out)) << "close drains remaining elements";
   EXPECT_EQ(out, 3);
-  EXPECT_FALSE(ring.pop(out)) << "closed and drained";
+  EXPECT_FALSE(ring.try_pop(out)) << "closed and drained";
 }
 
 // --- Multi-channel SoA runtime ------------------------------------------
@@ -413,112 +320,6 @@ TEST_F(RuntimeTest, MultiChannelFuzzMatchesScalar) {
           << ")";
     }
   }
-}
-
-// --- Pipelined stage executor -------------------------------------------
-
-TEST_F(RuntimeTest, PipelinedMatchesScalarChainAllStimuli) {
-  const auto cfg = decim::paper_chain_config();
-  constexpr std::size_t kFrames = 8192;
-  const std::uint32_t seed = fuzz_seed(53);
-
-  for (int ci = 0; ci < verify::kNumStimulusClasses; ++ci) {
-    const auto cls = static_cast<verify::StimulusClass>(ci);
-    std::mt19937_64 rng(seed + static_cast<std::uint32_t>(ci));
-    const auto codes = stimulus_codes(cls, kFrames, rng);
-
-    obs::Registry::instance().reset_all();
-    decim::DecimationChain chain(cfg);
-    const auto ref = chain.process(codes);
-    const auto ref_fx = fx_snapshot();
-
-    set_runtime_threads("8");  // one worker per stage (7 stages)
-    obs::Registry::instance().reset_all();
-    runtime::PipelinedChain pipe(cfg, /*block_frames=*/512);
-    const auto got = pipe.process(codes);
-    const auto got_fx = fx_snapshot();
-
-    ASSERT_EQ(got, ref) << "class " << verify::stimulus_name(cls);
-    EXPECT_EQ(got_fx, ref_fx) << "class " << verify::stimulus_name(cls);
-  }
-}
-
-TEST_F(RuntimeTest, PipelinedDeterministicAcrossWorkersAndBlockSizes) {
-  const auto cfg = decim::paper_chain_config();
-  const std::uint32_t seed = fuzz_seed(67);
-  std::mt19937_64 rng(seed);
-  const auto codes =
-      stimulus_codes(verify::StimulusClass::kModulator, 10000, rng);
-
-  decim::DecimationChain chain(cfg);
-  const auto ref = chain.process(codes);
-
-  for (const char* threads : {"1", "2", "8"}) {
-    for (const std::size_t block : {std::size_t{256}, std::size_t{1024}}) {
-      set_runtime_threads(threads);
-      runtime::PipelinedChain pipe(cfg, block);
-      const auto got = pipe.process(codes);
-      ASSERT_EQ(got, ref) << "threads=" << threads << " block=" << block;
-    }
-  }
-}
-
-TEST_F(RuntimeTest, PipelinedStreamingCarriesState) {
-  // Consecutive process() calls continue the stream (no state reset at
-  // call boundaries), exactly like the scalar chain.
-  const auto cfg = decim::paper_chain_config();
-  const std::uint32_t seed = fuzz_seed(83);
-  std::mt19937_64 rng(seed);
-  const auto a = stimulus_codes(verify::StimulusClass::kSine, 3000, rng);
-  const auto b = stimulus_codes(verify::StimulusClass::kStep, 2049, rng);
-
-  decim::DecimationChain chain(cfg);
-  set_runtime_threads("8");
-  runtime::PipelinedChain pipe(cfg, /*block_frames=*/512);
-  for (const auto* codes : {&a, &b}) {
-    const auto ref = chain.process(*codes);
-    const auto got = pipe.process(*codes);
-    ASSERT_EQ(got, ref);
-  }
-}
-
-TEST_F(RuntimeTest, PipelinedFuzzMatchesScalar) {
-  const auto cfg = decim::paper_chain_config();
-  const std::uint32_t seed = fuzz_seed(131);
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<std::size_t> len_dist(1, 6000);
-  std::uniform_int_distribution<std::size_t> block_dist(16, 2048);
-
-  set_runtime_threads("8");
-  for (int trial = 0; trial < 4; ++trial) {
-    const std::size_t frames = len_dist(rng);
-    const auto cls = verify::random_stimulus_class(rng);
-    const auto codes = stimulus_codes(cls, frames, rng);
-    decim::DecimationChain chain(cfg);
-    runtime::PipelinedChain pipe(cfg, block_dist(rng));
-    const auto ref = chain.process(codes);
-    const auto got = pipe.process(codes);
-    ASSERT_EQ(got, ref) << "trial " << trial << " class "
-                        << verify::stimulus_name(cls)
-                        << " (DSADC_FUZZ_SEED=" << seed << ")";
-  }
-}
-
-TEST_F(RuntimeTest, QueueDepthHistogramsArePopulated) {
-  const auto cfg = decim::paper_chain_config();
-  const std::uint32_t seed = fuzz_seed(149);
-  std::mt19937_64 rng(seed);
-  const auto codes =
-      stimulus_codes(verify::StimulusClass::kUniform, 8192, rng);
-
-  set_runtime_threads("4");
-  obs::Registry::instance().reset_all();
-  runtime::PipelinedChain pipe(cfg, /*block_frames=*/256);
-  (void)pipe.process(codes);
-  auto& reg = obs::Registry::instance();
-  // 4 workers -> rings q0..q4; every block passes through each ring.
-  const auto& h = reg.histogram("runtime.queue_depth.q0", {0, 1, 2, 4, 8});
-  EXPECT_GT(h.count(), 0u);
 }
 
 TEST_F(RuntimeTest, PerChannelThroughputGaugesArePublished) {

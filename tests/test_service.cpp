@@ -6,10 +6,10 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -84,15 +84,6 @@ class ServiceTest : public ::testing::Test {
     o.unix_path = service::net::unique_socket_path(tag);
     o.workers = 4;
     o.shards = 8;
-    // CI runs this suite once per I/O backend via DSADC_SERVICE_IO;
-    // options are built directly here, so re-apply the env override.
-    if (const char* io = std::getenv("DSADC_SERVICE_IO")) {
-      if (std::string_view(io) == "threads") {
-        o.io = service::IoBackend::kThreads;
-      } else if (std::string_view(io) == "epoll") {
-        o.io = service::IoBackend::kEpoll;
-      }
-    }
     return o;
   }
 };
@@ -339,6 +330,37 @@ TEST(ServiceWire, HugeCicOrderIsRejected) {
         c.cic_stages[0].input_bits = -(1 << 30);
       },
       "cic order 2^30 with input_bits -2^30");
+}
+
+TEST(ServiceWire, HugeEqualizerTapIsRejected) {
+  // A byte flip turned one paper equalizer tap into 6.9e306: the int64
+  // cast wrapped to INT64_MIN and the FIR MAC overflowed.
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) { c.equalizer_taps[7] = 6.9e306; },
+      "equalizer tap 6.9e306");
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) {
+        c.equalizer_taps[0] = std::numeric_limits<double>::quiet_NaN();
+      },
+      "equalizer tap NaN");
+  // Fits int64 once scaled, but sum |tap| * 2^(in_width-1) does not.
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) { c.equalizer_taps[3] = 0x1p40; },
+      "equalizer tap 2^40");
+}
+
+TEST(ServiceWire, WideHbfCoefficientsAreRejected) {
+  // 43 coefficient bits times the 28-bit internal operands of the paper
+  // HBF overflow the int64 G2 products.
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) { c.hbf_coeff_frac_bits = 43; },
+      "hbf_coeff_frac_bits = 43");
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) { c.hbf_coeff_frac_bits = 1 << 20; },
+      "hbf_coeff_frac_bits = 2^20");
+  expect_rejected_at_construction(
+      [](decim::ChainConfig& c) { c.hbf_coeff_frac_bits = -1; },
+      "hbf_coeff_frac_bits = -1");
 }
 
 TEST(ServiceWire, PresetsAreSharedAndBounded) {
